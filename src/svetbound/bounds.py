@@ -16,7 +16,7 @@ from scipy.optimize import minimize
 
 from .correlation import SingularSpectrum, correlation_tensor, singular_spectrum, unfold
 from .qcore import validate_density
-from .seesaw import OptimizerConfig, maximize
+from .seesaw import OptimizationResult, OptimizerConfig, maximize
 from .svetlichny import CLASSICAL_BOUND, MeasurementSettings, principal_angle, svetlichny_value
 
 CERTIFIED_VIOLATION = "CertifiedViolation"
@@ -67,21 +67,22 @@ def quantum_bound(
     """
     rho = validate_density(rho)
     cfg = config if config is not None else OptimizerConfig()
-    spectrum = singular_spectrum(unfold(correlation_tensor(rho)))
+    matrix = unfold(correlation_tensor(rho))
+    spectrum = singular_spectrum(matrix)
     q_bound = 4.0 * spectrum.lambda1
-    optimizer_value: float | None = None
+    witness: OptimizationResult | None = None
     if q_bound <= CLASSICAL_BOUND:
         classification = CERTIFIED_NO_VIOLATION
     else:
-        result = maximize(rho, cfg)
-        optimizer_value = result.best_value
-        if result.best_value > CLASSICAL_BOUND + VIOLATION_MARGIN:
+        witness = maximize(rho, cfg)
+        if witness.best_value > CLASSICAL_BOUND + VIOLATION_MARGIN:
             classification = CERTIFIED_VIOLATION
         else:
             classification = INCONCLUSIVE
+    optimizer_value = witness.best_value if witness is not None else None
     certificate = None
     if certify:
-        certificate = tightness_certificate(rho, tol=certificate_tol, config=cfg)
+        certificate, _ = _certify(rho, matrix, spectrum, certificate_tol, cfg, witness)
     return BoundReport(spectrum, q_bound, classification, optimizer_value, certificate)
 
 
@@ -100,12 +101,29 @@ def tightness_certificate(
     Returns None when neither route attains the target; absence is a valid
     answer since the bound need not be tight.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     rho = validate_density(rho)
     cfg = config if config is not None else OptimizerConfig()
     matrix = unfold(correlation_tensor(rho))
-    spectrum = singular_spectrum(matrix)
+    return _certify(rho, matrix, singular_spectrum(matrix), tol, cfg)[0]
+
+
+def _certify(
+    rho: np.ndarray,
+    matrix: np.ndarray,
+    spectrum: SingularSpectrum,
+    tol: float,
+    cfg: OptimizerConfig,
+    witness: OptimizationResult | None = None,
+) -> tuple[Certificate | None, OptimizationResult | None]:
+    """tightness_certificate for a validated state whose unfolding and spectrum
+    are already built, returned with the see-saw result its fallback used.
+
+    witness, when given, must be maximize(rho, cfg); the fallback then reuses
+    it instead of running the see-saw again. The returned result is None only
+    when the subspace route certified without the see-saw.
+    """
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
     q_bound = 4.0 * spectrum.lambda1
     target = q_bound - tol
 
@@ -114,13 +132,14 @@ def tightness_certificate(
         if settings is not None:
             achieved = svetlichny_value(rho, settings)
             if abs(achieved) >= target:
-                return Certificate(settings, achieved, q_bound - abs(achieved))
+                return Certificate(settings, achieved, q_bound - abs(achieved)), witness
 
-    result = maximize(rho, cfg)
-    achieved = svetlichny_value(rho, result.best_settings)
+    if witness is None:
+        witness = maximize(rho, cfg)
+    achieved = svetlichny_value(rho, witness.best_settings)
     if abs(achieved) >= target:
-        return Certificate(result.best_settings, achieved, q_bound - abs(achieved))
-    return None
+        return Certificate(witness.best_settings, achieved, q_bound - abs(achieved)), witness
+    return None, witness
 
 
 def _split_unit(x: np.ndarray) -> tuple[np.ndarray, ...]:

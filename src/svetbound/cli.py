@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bounds import quantum_bound, tightness_certificate
+from .bounds import _certify, quantum_bound
 from .correlation import correlation_tensor, singular_spectrum, unfold
 from .families import (
     BILOCAL_BOUND_LITERATURE,
@@ -35,7 +35,7 @@ from .families import (
     violation_threshold,
 )
 from .qcore import StateValidationError, validate_density
-from .seesaw import OptimizerConfig, maximize
+from .seesaw import OptimizerConfig, SeesawError, maximize
 from .svetlichny import MeasurementSettings
 
 EXIT_OK = 0
@@ -316,8 +316,9 @@ def _cmd_certify(args, parser):
     if args.tol <= 0:
         parser.error("--tol must be positive")
     cfg = OptimizerConfig(starts=args.starts, seed=args.seed)
-    certificate = tightness_certificate(rho, tol=args.tol, config=cfg)
-    spectrum = singular_spectrum(unfold(correlation_tensor(rho)))
+    matrix = unfold(correlation_tensor(rho))
+    spectrum = singular_spectrum(matrix)
+    certificate, witness = _certify(rho, matrix, spectrum, args.tol, cfg)
     q_bound = 4.0 * spectrum.lambda1
     if certificate is not None:
         result = {
@@ -329,8 +330,7 @@ def _cmd_certify(args, parser):
             },
         }
     else:
-        best = maximize(rho, cfg).best_value
-        result = {"q_bound": q_bound, "certificate": None, "gap": q_bound - best}
+        result = {"q_bound": q_bound, "certificate": None, "gap": q_bound - witness.best_value}
     return _emit(_report(args, digest, result))
 
 
@@ -424,7 +424,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"svetbound: i/o failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, SeesawError) as exc:
         print(f"svetbound: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -3,7 +3,8 @@
 The mean value is multilinear in the six measurement directions, so with five
 of them held fixed the objective is linear in the sixth and the optimal update
 is the normalized coefficient vector. A sweep updates all six in the fixed
-order (a, a', b, b', c, c'); the objective never decreases.
+order (a, a', b, b', c, c'), computed as one complex update per party for all
+starts at once; the objective never decreases.
 
 Randomness comes from numpy's PCG64 generator with an explicit seed. Stream
 layout: for each start, six directions are drawn in the order a, a', b, b',
@@ -25,6 +26,11 @@ _MIN_COEFF_NORM = 1e-14
 _BOUND_SLACK = 1e-7
 _EXTRAPOLATION_PERIOD = 10
 _EXTRAPOLATION_BETAS = (4.0, 16.0, 64.0, 256.0)
+
+
+class SeesawError(RuntimeError):
+    """A see-saw run broke one of its numerical invariants: its objective fell,
+    or its best value exceeded the singular-value bound 4*lambda1."""
 
 
 @dataclass(frozen=True)
@@ -79,52 +85,82 @@ def _draw_directions(rng: np.random.Generator) -> np.ndarray:
     return rows
 
 
-def _renorm(coeff: np.ndarray, current: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(coeff))
-    if norm < _MIN_COEFF_NORM:
-        return current
-    return coeff / norm
-
-
-def _objective(t: np.ndarray, s: np.ndarray) -> float:
-    a, ap, b, bp, c, cp = s
-    bsum = b + bp
-    bdif = b - bp
-    return float(
-        np.einsum("ijk,i,j,k->", t, a, bsum, c)
-        + np.einsum("ijk,i,j,k->", t, a, bdif, cp)
-        + np.einsum("ijk,i,j,k->", t, ap, bdif, c)
-        - np.einsum("ijk,i,j,k->", t, ap, bsum, cp)
+def _blocks(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The tensor as three (9, 3) matrices: rows pair the two parties held
+    # fixed, columns index the party being updated (A, B, C in turn).
+    return (
+        t.transpose(1, 2, 0).reshape(9, 3).astype(complex),
+        t.transpose(0, 2, 1).reshape(9, 3).astype(complex),
+        t.reshape(9, 3).astype(complex),
     )
 
 
-def _sweep(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, float]:
-    # Gauss-Seidel pass in fixed order; each update is exact for its block.
-    a, ap, b, bp, c, cp = s
-    bsum = b + bp
-    bdif = b - bp
-    a = _renorm(
-        np.einsum("ijk,j,k->i", t, bsum, c) + np.einsum("ijk,j,k->i", t, bdif, cp), a
-    )
-    ap = _renorm(
-        np.einsum("ijk,j,k->i", t, bdif, c) - np.einsum("ijk,j,k->i", t, bsum, cp), ap
-    )
-    b = _renorm(
-        np.einsum("ijk,i,k->j", t, a, c + cp) + np.einsum("ijk,i,k->j", t, ap, c - cp), b
-    )
-    bp = _renorm(
-        np.einsum("ijk,i,k->j", t, a, c - cp) - np.einsum("ijk,i,k->j", t, ap, c + cp), bp
-    )
-    bsum = b + bp
-    bdif = b - bp
-    c = _renorm(
-        np.einsum("ijk,i,j->k", t, a, bsum) + np.einsum("ijk,i,j->k", t, ap, bdif), c
-    )
-    cp = _renorm(
-        np.einsum("ijk,i,j->k", t, a, bdif) - np.einsum("ijk,i,j->k", t, ap, bsum), cp
-    )
-    out = np.stack([a, ap, b, bp, c, cp])
-    return out, _objective(t, out)
+def _contract(x: np.ndarray, y: np.ndarray, block: np.ndarray) -> np.ndarray:
+    return (x[:, :, None] * y[:, None, :]).reshape(-1, 9) @ block
+
+
+# Inside the ascent each party's pair of directions is one complex 3-vector:
+# a + i a', b + i b', c + i c'. Stored as floats the settings of S starts have
+# shape (S, 3, 3, 2): start, party, component, (unprimed, primed) direction.
+
+
+def _to_pairs(s: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(s.reshape(-1, 3, 2, 3).transpose(0, 1, 3, 2))
+
+
+def _from_pairs(p: np.ndarray) -> np.ndarray:
+    return p.transpose(0, 1, 3, 2).reshape(-1, 6, 3)
+
+
+def _beta(x: np.ndarray) -> np.ndarray:
+    # (1+i)(b - i b') = (b+b') + i(b-b')
+    return (1 + 1j) * x[:, 1].conj()
+
+
+def _mean_values(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # c . Re z + c' . Im z, where z = T(alpha, beta, .) are the (c, c') coefficients.
+    return np.einsum("si,si->s", x[:, 2].conj(), z).real
+
+
+def _values(blocks, p: np.ndarray) -> np.ndarray:
+    x = p.view(complex)[..., 0]
+    return _mean_values(x, _contract(x[:, 0].conj(), _beta(x), blocks[2]))
+
+
+def _renorm_pair(p: np.ndarray, party: int, coeff: np.ndarray, active: np.ndarray) -> None:
+    # Each active start's pair of directions takes the real and imaginary parts
+    # of coeff, normalized separately, unless a part's norm is below _MIN_COEFF_NORM.
+    parts = coeff.view(float).reshape(-1, 3, 2)
+    norms = np.sqrt(np.einsum("sip,sip->sp", parts, parts))
+    take = active[:, None] & (norms >= _MIN_COEFF_NORM)
+    scaled = parts / np.maximum(norms, _MIN_COEFF_NORM)[:, None, :]
+    p[:, party] = np.where(take[:, None, :], scaled, p[:, party])
+
+
+def _block_sweep(blocks, p: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One see-saw sweep for every start; inactive starts keep their settings.
+
+    With alpha = a - i a', beta = (b+b') + i(b-b') and gamma = c - i c' the mean
+    value is Re T(alpha, beta, gamma). The coefficients of (a, a') are (Re, Im)
+    of T(., beta, gamma), those of (b, b') are (Re - Im, Re + Im) of
+    T(alpha, ., gamma), that is (Re, Im) of (1+i) T(alpha, ., gamma), and those
+    of (c, c') are (Re, Im) of T(alpha, beta, .). Neither direction of a pair
+    enters the other's coefficients, so the Gauss-Seidel order
+    a, a', b, b', c, c' is exactly three block updates. In the pair layout
+    alpha and gamma are the conjugated pairs and beta is (1+i) times one.
+    Returns the updated settings and their mean values.
+    """
+    p = p.copy()
+    x = p.view(complex)[..., 0]  # a view: sees each block update
+    gamma = x[:, 2].conj()
+    w = _contract(_beta(x), gamma, blocks[0])
+    _renorm_pair(p, 0, w, active)
+    alpha = x[:, 0].conj()
+    y = _contract(alpha, gamma, blocks[1])
+    _renorm_pair(p, 1, (1 + 1j) * y, active)
+    z = _contract(alpha, _beta(x), blocks[2])
+    _renorm_pair(p, 2, z, active)
+    return p, _mean_values(x, z)
 
 
 def seesaw_step(matrix, settings: MeasurementSettings) -> tuple[MeasurementSettings, float]:
@@ -133,124 +169,70 @@ def seesaw_step(matrix, settings: MeasurementSettings) -> tuple[MeasurementSetti
     Coefficient vectors with norm below 1e-14 leave their direction unchanged
     for the sweep. Returns the updated settings and the new objective value.
     """
-    t = np.asarray(fold(matrix))
-    updated, value = _sweep(t, settings.as_matrix())
-    return MeasurementSettings.from_matrix(updated), value
-
-
-def _renorm_rows(coeff: np.ndarray, current: np.ndarray, active: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(coeff, axis=1)
-    take = active & (norms >= _MIN_COEFF_NORM)
-    scaled = coeff / np.maximum(norms, _MIN_COEFF_NORM)[:, None]
-    return np.where(take[:, None], scaled, current)
-
-
-def _batch_objective(t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    a, ap, b, bp, c, cp = (s[:, idx, :] for idx in range(6))
-    bsum = b + bp
-    bdif = b - bp
-    return (
-        np.einsum("sijk,si,sj,sk->s", t, a, bsum, c)
-        + np.einsum("sijk,si,sj,sk->s", t, a, bdif, cp)
-        + np.einsum("sijk,si,sj,sk->s", t, ap, bdif, c)
-        - np.einsum("sijk,si,sj,sk->s", t, ap, bsum, cp)
-    )
-
-
-def _batch_sweep(t: np.ndarray, s: np.ndarray, active: np.ndarray) -> np.ndarray:
-    # Same Gauss-Seidel pass as _sweep, run for every active start at once.
-    a, ap, b, bp, c, cp = (s[:, idx, :] for idx in range(6))
-    bsum = b + bp
-    bdif = b - bp
-    a = _renorm_rows(
-        np.einsum("sijk,sj,sk->si", t, bsum, c) + np.einsum("sijk,sj,sk->si", t, bdif, cp),
-        a,
-        active,
-    )
-    ap = _renorm_rows(
-        np.einsum("sijk,sj,sk->si", t, bdif, c) - np.einsum("sijk,sj,sk->si", t, bsum, cp),
-        ap,
-        active,
-    )
-    b = _renorm_rows(
-        np.einsum("sijk,si,sk->sj", t, a, c + cp) + np.einsum("sijk,si,sk->sj", t, ap, c - cp),
-        b,
-        active,
-    )
-    bp = _renorm_rows(
-        np.einsum("sijk,si,sk->sj", t, a, c - cp) - np.einsum("sijk,si,sk->sj", t, ap, c + cp),
-        bp,
-        active,
-    )
-    bsum = b + bp
-    bdif = b - bp
-    c = _renorm_rows(
-        np.einsum("sijk,si,sj->sk", t, a, bsum) + np.einsum("sijk,si,sj->sk", t, ap, bdif),
-        c,
-        active,
-    )
-    cp = _renorm_rows(
-        np.einsum("sijk,si,sj->sk", t, a, bdif) - np.einsum("sijk,si,sj->sk", t, ap, bsum),
-        cp,
-        active,
-    )
-    return np.stack([a, ap, b, bp, c, cp], axis=1)
+    blocks = _blocks(np.asarray(fold(matrix)))
+    pairs = _to_pairs(settings.as_matrix()[None])
+    updated, value = _block_sweep(blocks, pairs, np.ones(1, dtype=bool))
+    return MeasurementSettings.from_matrix(_from_pairs(updated)[0]), float(value[0])
 
 
 def maximize(rho, config: OptimizerConfig | None = None) -> OptimizationResult:
     """Best absolute Svetlichny mean value found by seeded multistart see-saw.
 
     Each start ascends both the + and - sign branches of the mean value from
-    the same drawn settings (the - branch ascends the negated tensor, which is
-    equivalent to flipping b and b'). All ascents run batched with a per-start
-    active mask; a start stops, and its settings freeze, once an iteration
-    improves it by less than convergence_tol. Plain coordinate sweeps crawl
-    along the flat valley created by a degenerate top singular value, so every
-    few sweeps (and whenever a start stalls) a secant extrapolation through an
-    earlier snapshot is tried at several step lengths and kept only when it
-    improves the objective; the ascent therefore stays monotone and fully
-    deterministic. The returned settings are normalized so the signed mean
-    value equals +best_value. Ties between starts resolve to the lowest start
-    index. The result is checked against the singular-value bound:
-    best_value <= 4 lambda1 + 1e-7.
+    the same drawn settings; the - branch starts from the drawn settings with
+    b and b' flipped, which negates the mean value, so both branches ascend
+    the same tensor and every returned setting has signed value +value. All
+    ascents run batched, each sweep being three complex block updates (see
+    _block_sweep), with a per-start active mask; a start stops, and its
+    settings freeze, once an iteration improves it by less than
+    convergence_tol. Plain coordinate sweeps crawl along the flat valley
+    created by a degenerate top singular value, so every few sweeps (and
+    whenever a start stalls) a secant extrapolation through an earlier
+    snapshot is tried at several step lengths and kept only when it improves
+    the objective; the ascent therefore stays monotone and fully
+    deterministic. Ties between starts resolve to the lowest start index.
+
+    Raises SeesawError when a sweep lowers an active start's objective by more
+    than 1e-12, or when the result exceeds the singular-value bound
+    4 lambda1 + 1e-7; both would mean a numerical failure.
     """
     rho = validate_density(rho)
     cfg = config if config is not None else OptimizerConfig()
     tensor = np.asarray(correlation_tensor(rho))
+    blocks = _blocks(tensor)
     rng = np.random.Generator(np.random.PCG64(int(cfg.seed)))
 
     n = cfg.starts
     starts = np.stack([_draw_directions(rng) for _ in range(n)])
-    settings = np.concatenate([starts, starts])  # first half +T, second half -T
-    t_batch = np.concatenate([np.broadcast_to(tensor, (n, 3, 3, 3)),
-                              np.broadcast_to(-tensor, (n, 3, 3, 3))])
+    flipped = starts.copy()
+    flipped[:, 2:4] *= -1.0
+    # First half the + branch, second half the - branch.
+    settings = _to_pairs(np.concatenate([starts, flipped]))
 
-    values = _batch_objective(t_batch, settings)
+    values = _values(blocks, settings)
     active = np.ones(2 * n, dtype=bool)
     converged = np.zeros(2 * n, dtype=bool)
     iterations = np.full(2 * n, cfg.max_iterations, dtype=int)
     snapshot = settings.copy()
     for sweep in range(1, cfg.max_iterations + 1):
-        settings = _batch_sweep(t_batch, settings, active)
-        new_values = _batch_objective(t_batch, settings)
-        assert np.all(new_values[active] >= values[active] - 1e-12), (
-            "see-saw objective decreased"
-        )
+        settings, new_values = _block_sweep(blocks, settings, active)
+        if not np.all(new_values[active] >= values[active] - 1e-12):
+            raise SeesawError(f"see-saw objective decreased in sweep {sweep}")
         attempt = active & (new_values - values < cfg.convergence_tol)
         if sweep % _EXTRAPOLATION_PERIOD == 0:
             attempt = attempt | active
         if attempt.any():
             for beta in _EXTRAPOLATION_BETAS:
                 candidate = settings + beta * (settings - snapshot)
-                norms = np.linalg.norm(candidate, axis=2, keepdims=True)
-                usable = np.all(norms[:, :, 0] > 1e-8, axis=1)
+                norms = np.sqrt(np.einsum("sxip,sxip->sxp", candidate, candidate))[:, :, None]
+                usable = np.all(norms > 1e-8, axis=(1, 2, 3))
                 candidate = candidate / np.maximum(norms, _MIN_COEFF_NORM)
-                cand_values = _batch_objective(t_batch, candidate)
+                cand_values = _values(blocks, candidate)
                 take = attempt & usable & (cand_values > new_values)
                 if take.any():
-                    settings = np.where(take[:, None, None], candidate, settings)
+                    settings = np.where(take[:, None, None, None], candidate, settings)
                     new_values = np.where(take, cand_values, new_values)
-            snapshot = np.where(attempt[:, None, None], settings, snapshot)
+            snapshot = np.where(attempt[:, None, None, None], settings, snapshot)
         improved = new_values - values
         values = np.where(active, new_values, values)
         # A start stops only after an extrapolation attempt failed to rescue it.
@@ -261,11 +243,7 @@ def maximize(rho, config: OptimizerConfig | None = None) -> OptimizationResult:
         if not active.any():
             break
 
-    # Negative-branch winners get b, b' flipped so the signed value is +value.
-    settings = settings.copy()
-    settings[n:, 2, :] *= -1.0
-    settings[n:, 3, :] *= -1.0
-
+    settings = _from_pairs(settings)
     plus_wins = values[:n] >= values[n:]
     per_start = np.where(plus_wins, values[:n], values[n:])
     winner = np.where(plus_wins, np.arange(n), np.arange(n, 2 * n))
@@ -273,10 +251,11 @@ def maximize(rho, config: OptimizerConfig | None = None) -> OptimizationResult:
     best_index = int(winner[best_start])
     best_value = float(per_start[best_start])
 
-    spectrum = singular_spectrum(unfold(tensor))
-    assert best_value <= 4.0 * spectrum.lambda1 + _BOUND_SLACK, (
-        "see-saw value exceeds the singular-value bound"
-    )
+    bound = 4.0 * singular_spectrum(unfold(tensor)).lambda1
+    if not best_value <= bound + _BOUND_SLACK:
+        raise SeesawError(
+            f"see-saw value {best_value!r} exceeds the singular-value bound {bound!r}"
+        )
     return OptimizationResult(
         best_value=best_value,
         best_settings=MeasurementSettings.from_matrix(settings[best_index]),

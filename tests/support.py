@@ -25,6 +25,13 @@ def random_density(gen, max_rank=4):
     return rho
 
 
+def w_density():
+    """W state (|001> + |010> + |100>)/sqrt(3) as a density matrix."""
+    w = np.zeros(8, dtype=complex)
+    w[1] = w[2] = w[4] = 1.0 / np.sqrt(3.0)
+    return np.outer(w, w.conj())
+
+
 def random_rotation(gen):
     q, r = np.linalg.qr(gen.standard_normal((3, 3)))
     q = q * np.sign(np.diag(r))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import svetbound.bounds
 from svetbound import (
     CERTIFIED_NO_VIOLATION,
     CERTIFIED_VIOLATION,
@@ -22,7 +23,7 @@ from svetbound import (
     unfold,
 )
 
-from support import GHZ_OPTIMUM, biseparable_state, random_density, rng
+from support import GHZ_OPTIMUM, biseparable_state, random_density, rng, w_density
 
 CFG = OptimizerConfig(starts=8, seed=1)
 
@@ -76,6 +77,43 @@ class TestQuantumBound:
         report = quantum_bound(pure_to_density(ghz_state()), CFG, certify=True)
         assert report.certificate is not None
         assert abs(report.certificate.achieved) >= report.q_bound - 1e-6
+
+
+def product_state():
+    """|000>: lambda1 = 1 is simple, so q_bound = 4 and the certificate needs the see-saw."""
+    rho = np.zeros((8, 8), dtype=complex)
+    rho[0, 0] = 1.0
+    return rho
+
+
+class TestOneSeesawPerRequest:
+    @pytest.mark.parametrize(
+        "make_state, classification",
+        [
+            (lambda: pure_to_density(ghz_state()), CERTIFIED_VIOLATION),
+            (w_density, CERTIFIED_VIOLATION),  # simple top value: certificate needs the see-saw
+            (mixed_biseparable, INCONCLUSIVE),
+            (product_state, CERTIFIED_NO_VIOLATION),
+        ],
+    )
+    def test_certify_runs_maximize_once(self, monkeypatch, make_state, classification):
+        calls = []
+
+        def counting(rho, config=None):
+            calls.append(config)
+            return maximize(rho, config)
+
+        monkeypatch.setattr(svetbound.bounds, "maximize", counting)
+        rho = make_state()
+        report = quantum_bound(rho, CFG, certify=True)
+        assert report.classification == classification
+        assert len(calls) == 1
+        # The shared see-saw result gives the same certificate as the public route.
+        alone = tightness_certificate(rho, config=CFG)
+        assert (report.certificate is None) == (alone is None)
+        if alone is not None:
+            assert report.certificate.achieved == alone.achieved
+            assert np.array_equal(report.certificate.settings.as_matrix(), alone.settings.as_matrix())
 
 
 class TestTightnessCertificate:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -7,7 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from svetbound.cli import read_state_file, state_payload, write_state_file
+import svetbound.bounds
+import svetbound.cli
+import svetbound.seesaw
+from svetbound import OptimizerConfig, maximize
+from svetbound.cli import main, read_state_file, state_payload, write_state_file
 
 from support import random_density, rng
 
@@ -184,6 +189,23 @@ class TestCertify:
         assert out["result"]["certificate"] is None
         assert out["result"]["gap"] > 0.0
 
+    def test_gap_reuses_the_certificate_seesaw(self, monkeypatch, capsys):
+        calls = []
+
+        def counting(rho, config=None):
+            calls.append(config)
+            return maximize(rho, config)
+
+        monkeypatch.setattr(svetbound.bounds, "maximize", counting)
+        monkeypatch.setattr(svetbound.cli, "maximize", counting)
+        state = FIXTURES / "random_dense_state.json"
+        code = main(["certify", "--state", str(state), "--starts", "10", "--seed", "5"])
+        assert code == 0
+        assert len(calls) == 1
+        out = json.loads(capsys.readouterr().out)
+        best = maximize(read_state_file(state), OptimizerConfig(starts=10, seed=5)).best_value
+        assert out["result"]["gap"] == out["result"]["q_bound"] - best
+
 
 class TestGme:
     def test_ghz(self):
@@ -241,6 +263,16 @@ class TestExitCodes:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert run_cli("bound", "--state", str(path)).returncode == 2
+
+    def test_seesaw_check_failure_is_numerical(self, monkeypatch, capsys):
+        real = svetbound.seesaw.singular_spectrum
+        monkeypatch.setattr(
+            svetbound.seesaw,
+            "singular_spectrum",
+            lambda m: dataclasses.replace(real(m), lambda1=1e-3),
+        )
+        assert main(["optimize", *GHZ_FLAGS, "--p", "1", "--starts", "2"]) == 3
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_wrong_schema(self, tmp_path):
         path = tmp_path / "schema.json"

@@ -8,7 +8,6 @@ classification is three-valued and the see-saw optimizer supplies the witness.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,7 @@ from scipy.optimize import minimize
 from .correlation import SingularSpectrum, correlation_tensor, singular_spectrum, unfold
 from .qcore import validate_density
 from .seesaw import OptimizationResult, OptimizerConfig, maximize
-from .svetlichny import CLASSICAL_BOUND, MeasurementSettings, principal_angle, svetlichny_value
+from .svetlichny import CLASSICAL_BOUND, MeasurementSettings, svetlichny_value
 
 CERTIFIED_VIOLATION = "CertifiedViolation"
 CERTIFIED_NO_VIOLATION = "CertifiedNoViolation"
@@ -29,6 +28,7 @@ DEFAULT_CERTIFICATE_TOL = 1e-6
 _SUBSPACE_RESIDUAL_TOL = 1e-8
 _DECOMPOSE_STARTS = 50
 _TINY_NORM = 1e-12
+_FALLBACK_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -93,13 +93,14 @@ def tightness_certificate(
 ) -> Certificate | None:
     """Measurement settings whose |<S>| reaches 4*lambda1 - tol, if any are found.
 
-    Strategy: when the top singular value is (numerically) degenerate, search
-    the top singular subspace for two orthogonal 9-vectors decomposable as
-    a(x)c - a'(x)c' and a(x)c' + a'(x)c with unit 3-vectors; b and b' are then
-    placed so the principal angle satisfies theta_ac + theta_b = pi, which
-    saturates the trigonometric factor. Falls back to the see-saw optimizer.
-    Returns None when neither route attains the target; absence is a valid
-    answer since the bound need not be tight.
+    Strategy: the see-saw optimizer's best settings are the certificate when
+    they reach the target. Otherwise, when the top singular value is
+    (numerically) degenerate, the top singular subspace is searched for two
+    orthogonal 9-vectors u = a(x)c - a'(x)c' and v = a(x)c' + a'(x)c with unit
+    3-vectors; b and b' are then the closed-form see-saw update
+    b = unit(M(u+v)), b' = unit(M(u-v)). Returns None when neither route
+    attains the target; absence is a valid answer since the bound need not be
+    tight. tol must be finite and positive.
     """
     rho = validate_density(rho)
     cfg = config if config is not None else OptimizerConfig()
@@ -114,31 +115,27 @@ def _certify(
     tol: float,
     cfg: OptimizerConfig,
     witness: OptimizationResult | None = None,
-) -> tuple[Certificate | None, OptimizationResult | None]:
+) -> tuple[Certificate | None, OptimizationResult]:
     """tightness_certificate for a validated state whose unfolding and spectrum
-    are already built, returned with the see-saw result its fallback used.
+    are already built, returned with the see-saw result it started from.
 
-    witness, when given, must be maximize(rho, cfg); the fallback then reuses
-    it instead of running the see-saw again. The returned result is None only
-    when the subspace route certified without the see-saw.
+    witness, when given, must be maximize(rho, cfg); it is then used instead of
+    running the see-saw again.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be finite and positive")
     q_bound = 4.0 * spectrum.lambda1
     target = q_bound - tol
-
-    if spectrum.degenerate_top and spectrum.right9_2 is not None:
-        settings = _subspace_certificate(matrix, spectrum, seed=cfg.seed)
-        if settings is not None:
-            achieved = svetlichny_value(rho, settings)
-            if abs(achieved) >= target:
-                return Certificate(settings, achieved, q_bound - abs(achieved)), witness
-
     if witness is None:
         witness = maximize(rho, cfg)
-    achieved = svetlichny_value(rho, witness.best_settings)
+    settings = witness.best_settings
+    achieved = svetlichny_value(rho, settings)
+    if abs(achieved) < target and spectrum.degenerate_top and spectrum.right9_2 is not None:
+        subspace = _subspace_certificate(matrix, spectrum, seed=cfg.seed)
+        if subspace is not None:
+            settings, achieved = subspace, svetlichny_value(rho, subspace)
     if abs(achieved) >= target:
-        return Certificate(witness.best_settings, achieved, q_bound - abs(achieved)), witness
+        return Certificate(settings, achieved, q_bound - abs(achieved)), witness
     return None, witness
 
 
@@ -171,40 +168,10 @@ def _decompose_top_subspace(basis: np.ndarray, rng: np.random.Generator) -> tupl
     return None
 
 
-def _completion(against: np.ndarray | None) -> np.ndarray:
-    for idx in range(3):
-        seed = np.zeros(3)
-        seed[idx] = 1.0
-        if against is not None:
-            seed = seed - (seed @ against) * against
-        norm = float(np.linalg.norm(seed))
-        if norm > 0.3:
-            return seed / norm
-    raise RuntimeError("direction completion failed")  # pragma: no cover
-
-
-def _orthonormal_pair(nu: np.ndarray, nv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal (e+, e-) aligned with (M u, M v); a vanished coefficient gets
-    an arbitrary orthogonal completion since its weight in b, b' is zero."""
-    nu_norm = float(np.linalg.norm(nu))
-    nv_norm = float(np.linalg.norm(nv))
-    if nu_norm > _TINY_NORM and nv_norm > _TINY_NORM:
-        e_plus = nu / nu_norm
-        e_minus = nv / nv_norm
-        e_minus = e_minus - (e_minus @ e_plus) * e_plus
-        e_minus = e_minus / float(np.linalg.norm(e_minus))
-        return e_plus, e_minus
-    if nu_norm > _TINY_NORM:
-        e_plus = nu / nu_norm
-        return e_plus, _completion(e_plus)
-    if nv_norm > _TINY_NORM:
-        e_minus = nv / nv_norm
-        return _completion(e_minus), e_minus
-    return _completion(None), _completion(_completion(None))
-
-
-def _angle(x: np.ndarray, y: np.ndarray) -> float:
-    return float(math.acos(max(-1.0, min(1.0, float(x @ y)))))
+def _unit_or_axis(x: np.ndarray) -> np.ndarray:
+    # A vanished coefficient gives its direction zero weight, so any unit vector serves.
+    norm = float(np.linalg.norm(x))
+    return x / norm if norm > _TINY_NORM else _FALLBACK_AXIS
 
 
 def _subspace_certificate(
@@ -218,12 +185,7 @@ def _subspace_certificate(
     a, ap, c, cp = blocks
     u = np.kron(a, c) - np.kron(ap, cp)
     v = np.kron(a, cp) + np.kron(ap, c)
-    theta_ac = principal_angle(_angle(a, ap), _angle(c, cp))
-    theta_b = math.pi - theta_ac
-    e_plus, e_minus = _orthonormal_pair(matrix @ u, matrix @ v)
-    half = theta_b / 2.0
-    b = math.cos(half) * e_plus + math.sin(half) * e_minus
-    bp = math.cos(half) * e_plus - math.sin(half) * e_minus
-    b = b / float(np.linalg.norm(b))
-    bp = bp / float(np.linalg.norm(bp))
+    # For fixed a, a', c, c' the value is b.M(u+v) + b'.M(u-v): maximal at these b, b'.
+    b = _unit_or_axis(matrix @ (u + v))
+    bp = _unit_or_axis(matrix @ (u - v))
     return MeasurementSettings(a, ap, b, bp, c, cp)

@@ -10,9 +10,12 @@ output. Exit codes: 0 success, 1 usage error, 2 state validation failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
+import os
+import secrets
 import sys
 
 import numpy as np
@@ -42,6 +45,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+
+#: Largest --starts value accepted; maximize draws every start in a Python loop.
+MAX_STARTS = 10_000
+#: Largest number of rows a scan may produce; a lo:hi:count grid is checked before it is built.
+MAX_SCAN_ROWS = 1_000_000
 
 
 class StateFormatError(ValueError):
@@ -105,9 +113,26 @@ def state_from_payload(payload) -> np.ndarray:
     return validate_density(arr[..., 0] + 1j * arr[..., 1])
 
 
+@contextlib.contextmanager
+def _atomic_open(path):
+    """Text handle (UTF-8, newlines untranslated) whose contents replace path only
+    once the block completes; on any failure path is untouched and the temporary
+    file beside it is removed."""
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_state_file(path: str, rho) -> None:
-    """Canonical state writer; written files re-parse to a bit-identical matrix."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    """Canonical state writer; written files re-parse to a bit-identical matrix.
+    The file is written atomically: a reader sees the old file or the whole new one."""
+    with _atomic_open(path) as handle:
         handle.write(_to_json(state_payload(rho)) + "\n")
 
 
@@ -257,6 +282,8 @@ def _parse_grid(text: str, parser: _Parser, flag: str) -> list[float]:
             lo, hi, count = float(lo), float(hi), int(count)
             if count < 1:
                 raise ValueError("count must be at least 1")
+            if count > MAX_SCAN_ROWS:
+                raise ValueError(f"count must be at most {MAX_SCAN_ROWS}")
             return [float(v) for v in np.linspace(lo, hi, count)]
         return [float(token) for token in text.split(",") if token.strip()]
     except ValueError as exc:
@@ -281,11 +308,13 @@ def _cmd_scan(args, parser):
             parser.error("ghz-color takes no --thetas/--theta3s")
         digest = _digest({"family": args.family, "ps": ps})
         annotations = {"bilocal_model_bound_literature": BILOCAL_BOUND_LITERATURE}
+    if math.prod(len(grid) for grid in (thetas, theta3s, ps) if grid is not None) > MAX_SCAN_ROWS:
+        parser.error(f"the grid has more than {MAX_SCAN_ROWS} rows")
     try:
         rows = scan(args.family, thetas, theta3s, ps)
     except ValueError as exc:
         parser.error(str(exc))
-    with open(args.out, "w", encoding="utf-8", newline="") as handle:
+    with _atomic_open(args.out) as handle:
         handle.write("theta,theta3,p,lambda1,q_bound,violates,gme_lb\n")
         for row in rows:
             handle.write(
@@ -313,8 +342,8 @@ def _cmd_scan(args, parser):
 
 def _cmd_certify(args, parser):
     rho, digest, _ = _resolve_state(args, parser)
-    if args.tol <= 0:
-        parser.error("--tol must be positive")
+    if not 0.0 < args.tol < math.inf:
+        parser.error("--tol must be finite and positive")
     cfg = OptimizerConfig(starts=args.starts, seed=args.seed)
     matrix = unfold(correlation_tensor(rho))
     spectrum = singular_spectrum(matrix)
@@ -413,6 +442,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.argv = argv
+    if getattr(args, "starts", 0) > MAX_STARTS:
+        parser.error(f"--starts must be at most {MAX_STARTS}")
     try:
         return args.func(args, parser)
     except StateValidationError as exc:

@@ -47,8 +47,8 @@ class OptimizerConfig:
             raise ValueError("starts must be at least 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.convergence_tol <= 0.0:
-            raise ValueError("convergence_tol must be positive")
+        if not 0.0 < self.convergence_tol < np.inf:
+            raise ValueError("convergence_tol must be finite and positive")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 

@@ -159,6 +159,13 @@ class TestTightnessCertificate:
         with pytest.raises(ValueError):
             tightness_certificate(np.eye(8) / 8.0, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_rejects_non_finite_tol(self, tol):
+        with pytest.raises(ValueError):
+            tightness_certificate(np.eye(8) / 8.0, tol=tol)
+        with pytest.raises(ValueError):
+            quantum_bound(pure_to_density(ghz_state()), CFG, certify=True, certificate_tol=tol)
+
     def test_zero_bound_state(self):
         cert = tightness_certificate(np.eye(8) / 8.0, config=OptimizerConfig(starts=3, seed=0))
         assert cert is not None
@@ -171,6 +178,59 @@ class TestTightnessCertificate:
         cert = tightness_certificate(rho, config=OptimizerConfig(starts=6, seed=1))
         assert cert is not None
         assert abs(cert.achieved) == pytest.approx(4.0, abs=1e-6)
+
+
+def record_subspace_calls(monkeypatch):
+    """Replace bounds._subspace_certificate by a wrapper; returns the list of its results."""
+    results = []
+    real = svetbound.bounds._subspace_certificate
+
+    def recording(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(svetbound.bounds, "_subspace_certificate", recording)
+    return results
+
+
+class TestCertificateRoutes:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_subspace_fallback_when_witness_misses(self, monkeypatch, seed):
+        # Degenerate top value, 4*lambda1 = 4.5255; one start and one sweep
+        # leave the witness at 3.7-4.5, below the target.
+        rho = realize(FamilySpec(GHZ_WHITE, 0.8, GhzClassParams(np.pi / 4, np.pi / 2)))
+        cfg = OptimizerConfig(starts=1, max_iterations=1, seed=seed)
+        lam1 = singular_spectrum(unfold(correlation_tensor(rho))).lambda1
+        assert maximize(rho, cfg).best_value < 4.0 * lam1 - 1e-6
+        subspace = record_subspace_calls(monkeypatch)
+        cert = tightness_certificate(rho, config=cfg)
+        assert len(subspace) == 1 and subspace[0] is not None
+        assert cert is not None
+        assert np.array_equal(cert.settings.as_matrix(), subspace[0].as_matrix())
+        assert abs(cert.achieved) >= 4.0 * lam1 - 1e-6
+        assert svetlichny_value(rho, cert.settings) == pytest.approx(cert.achieved, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "make_state",
+        [lambda: pure_to_density(ghz_state()), lambda: realize(FamilySpec(GHZ_COLOR, 1.0))],
+    )
+    def test_witness_certifies_without_subspace_solve(self, monkeypatch, make_state):
+        rho = make_state()
+        subspace = record_subspace_calls(monkeypatch)
+        calls = []
+
+        def counting(rho, config=None):
+            calls.append(config)
+            return maximize(rho, config)
+
+        monkeypatch.setattr(svetbound.bounds, "maximize", counting)
+        report = quantum_bound(rho, CFG, certify=True)
+        assert report.certificate is not None
+        calls.clear()
+        cert = tightness_certificate(rho, config=CFG)
+        assert cert is not None
+        assert len(calls) == 1
+        assert subspace == []
 
 
 class TestBiseparableSanity:

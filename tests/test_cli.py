@@ -34,6 +34,18 @@ def run_json(*args):
     return json.loads(proc.stdout)
 
 
+def exit_code(*argv):
+    """In-process main; usage errors raised by the parser come back as their exit code."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the input cap must fire before any work")
+
+
 class TestBound:
     def test_ghz_value_and_classification(self):
         out = run_json("bound", *GHZ_FLAGS, "--p", "1", "--starts", "8", "--seed", "1")
@@ -167,6 +179,27 @@ class TestScan:
         assert proc.returncode == 3
 
 
+    def test_successful_scan_leaves_only_the_csv(self, tmp_path, capsys):
+        assert main(["scan", "--family", "ghz-color", "--ps", "0.2,0.9",
+                     "--out", str(tmp_path / "scan.csv")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.csv"]
+
+    def test_rerun_replaces_existing_csv(self, tmp_path, capsys):
+        out_path = tmp_path / "scan.csv"
+        out_path.write_text("stale contents that are longer than nothing\n" * 50)
+        assert main(["scan", "--family", "ghz-color", "--ps", "0.5", "--out", str(out_path)]) == 0
+        lines = out_path.read_text(encoding="utf-8").split("\n")
+        assert lines[0] == "theta,theta3,p,lambda1,q_bound,violates,gme_lb"
+        assert len(lines) == 3  # header + 1 row + trailing newline
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.csv"]
+
+    def test_missing_directory_leaves_nothing(self, tmp_path, capsys):
+        code = main(["scan", "--family", "ghz-color", "--ps", "0.5",
+                     "--out", str(tmp_path / "missing" / "x.csv")])
+        assert code == 3
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCertify:
     def test_white_noise_family(self):
         out = run_json("certify", *GHZ_FLAGS, "--p", "0.8", "--starts", "6", "--seed", "2")
@@ -274,6 +307,37 @@ class TestExitCodes:
         assert main(["optimize", *GHZ_FLAGS, "--p", "1", "--starts", "2"]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerances_are_usage_errors(self, tol, capsys):
+        assert exit_code("certify", *GHZ_FLAGS, "--p", "1", "--starts", "2", "--tol", tol) == 1
+        assert exit_code("optimize", *GHZ_FLAGS, "--p", "1", "--starts", "2", "--tol", tol) == 1
+
+    @pytest.mark.parametrize("subcommand", ["bound", "optimize", "certify"])
+    def test_starts_above_cap(self, subcommand, monkeypatch, capsys):
+        monkeypatch.setattr(svetbound.cli, "_resolve_state", _no_work)
+        starts = str(svetbound.cli.MAX_STARTS + 1)
+        assert exit_code(subcommand, *GHZ_FLAGS, "--p", "1", "--starts", starts) == 1
+        assert "--starts must be at most" in capsys.readouterr().err
+
+    def test_grid_count_above_cap(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(svetbound.cli, "scan", _no_work)
+        ps = f"0:1:{svetbound.cli.MAX_SCAN_ROWS + 1}"
+        out_path = tmp_path / "x.csv"
+        assert exit_code("scan", "--family", "ghz-color", "--ps", ps, "--out", str(out_path)) == 1
+        assert "count must be at most" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    def test_grid_rows_above_cap(self, tmp_path, monkeypatch, capsys):
+        # 101 * 9901 = MAX_SCAN_ROWS + 1 rows, each grid alone under the cap.
+        assert 101 * 9901 == svetbound.cli.MAX_SCAN_ROWS + 1
+        monkeypatch.setattr(svetbound.cli, "scan", _no_work)
+        out_path = tmp_path / "x.csv"
+        code = exit_code("scan", "--family", "ghz-white", "--thetas", "0:0.5:101",
+                         "--theta3s", "0:1:9901", "--ps", "0.5", "--out", str(out_path))
+        assert code == 1
+        assert "more than" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_wrong_schema(self, tmp_path):
         path = tmp_path / "schema.json"
         path.write_text(json.dumps({"dim": 4, "matrix": []}))
@@ -290,6 +354,15 @@ class TestStateRoundTrip:
             write_state_file(path, rho)
             back = read_state_file(path)
             assert np.array_equal(back, np.asarray(rho, dtype=complex))
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "state.json"
+        write_state_file(path, np.eye(8) / 8.0)
+        before = path.read_bytes()
+        with pytest.raises((TypeError, ValueError)):
+            write_state_file(path, "not a matrix")
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json"]
 
     def test_payload_shape(self):
         payload = state_payload(np.eye(8) / 8.0)

@@ -56,7 +56,14 @@ class TestOptimizerConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(starts=0), dict(max_iterations=0), dict(convergence_tol=0.0), dict(seed=-1)],
+        [
+            dict(starts=0),
+            dict(max_iterations=0),
+            dict(convergence_tol=0.0),
+            dict(seed=-1),
+            dict(convergence_tol=float("nan")),
+            dict(convergence_tol=float("inf")),
+        ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .correlation import SingularSpectrum, correlation_tensor, singular_spectrum, unfold
-from .qcore import validate_density
+from .correlation import SingularSpectrum, StateAnalysis, analyze
 from .seesaw import OptimizationResult, OptimizerConfig, maximize
 from .svetlichny import CLASSICAL_BOUND, MeasurementSettings, svetlichny_value
 
@@ -63,18 +62,17 @@ def quantum_bound(
     the see-saw optimizer runs: CertifiedViolation when it exhibits a value
     above 4 + 1e-9, else Inconclusive (the bound exceeds 4 but no violating
     settings were found). Pass certify=True to also attach a tightness
-    certificate when one exists.
+    certificate when one exists; certificate_tol is then checked before any work.
     """
-    rho = validate_density(rho)
+    if certify and not 0.0 < certificate_tol < np.inf:
+        raise ValueError("certificate_tol must be finite and positive")
+    state = analyze(rho)
     cfg = config if config is not None else OptimizerConfig()
-    matrix = unfold(correlation_tensor(rho))
-    spectrum = singular_spectrum(matrix)
-    q_bound = 4.0 * spectrum.lambda1
     witness: OptimizationResult | None = None
-    if q_bound <= CLASSICAL_BOUND:
+    if state.q_bound <= CLASSICAL_BOUND:
         classification = CERTIFIED_NO_VIOLATION
     else:
-        witness = maximize(rho, cfg)
+        witness = maximize(state, cfg)
         if witness.best_value > CLASSICAL_BOUND + VIOLATION_MARGIN:
             classification = CERTIFIED_VIOLATION
         else:
@@ -82,8 +80,8 @@ def quantum_bound(
     optimizer_value = witness.best_value if witness is not None else None
     certificate = None
     if certify:
-        certificate, _ = _certify(rho, matrix, spectrum, certificate_tol, cfg, witness)
-    return BoundReport(spectrum, q_bound, classification, optimizer_value, certificate)
+        certificate, _ = _certify(state, certificate_tol, cfg, witness)
+    return BoundReport(state.spectrum, state.q_bound, classification, optimizer_value, certificate)
 
 
 def tightness_certificate(
@@ -102,40 +100,37 @@ def tightness_certificate(
     attains the target; absence is a valid answer since the bound need not be
     tight. tol must be finite and positive.
     """
-    rho = validate_density(rho)
     cfg = config if config is not None else OptimizerConfig()
-    matrix = unfold(correlation_tensor(rho))
-    return _certify(rho, matrix, singular_spectrum(matrix), tol, cfg)[0]
+    return _certify(analyze(rho), tol, cfg)[0]
 
 
 def _certify(
-    rho: np.ndarray,
-    matrix: np.ndarray,
-    spectrum: SingularSpectrum,
+    state: StateAnalysis,
     tol: float,
     cfg: OptimizerConfig,
     witness: OptimizationResult | None = None,
 ) -> tuple[Certificate | None, OptimizationResult]:
-    """tightness_certificate for a validated state whose unfolding and spectrum
-    are already built, returned with the see-saw result it started from.
+    """tightness_certificate for an analysed state, returned with the see-saw
+    result it started from.
 
-    witness, when given, must be maximize(rho, cfg); it is then used instead of
-    running the see-saw again.
+    witness, when given, must be maximize(state, cfg); it is then used instead
+    of running the see-saw again. Only svetlichny_value, the independent
+    check, revalidates state.rho.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be finite and positive")
-    q_bound = 4.0 * spectrum.lambda1
-    target = q_bound - tol
+    spectrum = state.spectrum
+    target = state.q_bound - tol
     if witness is None:
-        witness = maximize(rho, cfg)
+        witness = maximize(state, cfg)
     settings = witness.best_settings
-    achieved = svetlichny_value(rho, settings)
+    achieved = svetlichny_value(state.rho, settings)
     if abs(achieved) < target and spectrum.degenerate_top and spectrum.right9_2 is not None:
-        subspace = _subspace_certificate(matrix, spectrum, seed=cfg.seed)
+        subspace = _subspace_certificate(state, seed=cfg.seed)
         if subspace is not None:
-            settings, achieved = subspace, svetlichny_value(rho, subspace)
+            settings, achieved = subspace, svetlichny_value(state.rho, subspace)
     if abs(achieved) >= target:
-        return Certificate(settings, achieved, q_bound - abs(achieved)), witness
+        return Certificate(settings, achieved, state.q_bound - abs(achieved)), witness
     return None, witness
 
 
@@ -174,10 +169,8 @@ def _unit_or_axis(x: np.ndarray) -> np.ndarray:
     return x / norm if norm > _TINY_NORM else _FALLBACK_AXIS
 
 
-def _subspace_certificate(
-    matrix: np.ndarray, spectrum: SingularSpectrum, seed: int
-) -> MeasurementSettings | None:
-    basis = np.stack([spectrum.right9_1, spectrum.right9_2])
+def _subspace_certificate(state: StateAnalysis, seed: int) -> MeasurementSettings | None:
+    basis = np.stack([state.spectrum.right9_1, state.spectrum.right9_2])
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     blocks = _decompose_top_subspace(basis, rng)
     if blocks is None:
@@ -186,6 +179,6 @@ def _subspace_certificate(
     u = np.kron(a, c) - np.kron(ap, cp)
     v = np.kron(a, cp) + np.kron(ap, c)
     # For fixed a, a', c, c' the value is b.M(u+v) + b'.M(u-v): maximal at these b, b'.
-    b = _unit_or_axis(matrix @ (u + v))
-    bp = _unit_or_axis(matrix @ (u - v))
+    b = _unit_or_axis(state.matrix @ (u + v))
+    bp = _unit_or_axis(state.matrix @ (u - v))
     return MeasurementSettings(a, ap, b, bp, c, cp)

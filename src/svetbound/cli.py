@@ -21,8 +21,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bounds import _certify, quantum_bound
-from .correlation import correlation_tensor, singular_spectrum, unfold
+from .bounds import Certificate, _certify, quantum_bound
+from .correlation import analyze
 from .families import (
     BILOCAL_BOUND_LITERATURE,
     BISECTION,
@@ -172,6 +172,30 @@ def _angles(args) -> tuple[float | None, float | None]:
     return theta, theta3
 
 
+def _certificate_payload(certificate: Certificate) -> dict:
+    return {
+        "settings": _settings_payload(certificate.settings),
+        "achieved": certificate.achieved,
+        "residual": certificate.residual,
+    }
+
+
+def _family_params(args, parser: _Parser) -> tuple[GhzClassParams | None, dict]:
+    """--family angles (both for ghz-white, none for ghz-color) and the family's digest payload."""
+    theta, theta3 = _angles(args)
+    if args.family == GHZ_COLOR:
+        if theta is not None or theta3 is not None:
+            parser.error("ghz-color takes no --theta/--theta3")
+        return None, {"family": GHZ_COLOR}
+    if theta is None or theta3 is None:
+        parser.error("ghz-white requires --theta and --theta3")
+    try:
+        params = GhzClassParams(theta, theta3)
+    except ValueError as exc:
+        parser.error(str(exc))
+    return params, {"family": GHZ_WHITE, "theta": theta, "theta3": theta3}
+
+
 def _resolve_state(args, parser: _Parser):
     """Returns (rho, digest, family spec or None) from --state or --family flags."""
     if args.state is not None and args.family is not None:
@@ -186,24 +210,12 @@ def _resolve_state(args, parser: _Parser):
         parser.error("a state source is required: --state FILE or --family KIND")
     if args.p is None:
         parser.error("--family requires --p")
-    theta, theta3 = _angles(args)
-    if args.family == GHZ_WHITE:
-        if theta is None or theta3 is None:
-            parser.error("ghz-white requires --theta and --theta3")
-        try:
-            spec = FamilySpec(GHZ_WHITE, args.p, GhzClassParams(theta, theta3))
-        except ValueError as exc:
-            parser.error(str(exc))
-        payload = {"family": GHZ_WHITE, "theta": theta, "theta3": theta3, "p": args.p}
-    else:
-        if theta is not None or theta3 is not None:
-            parser.error("ghz-color takes no --theta/--theta3")
-        try:
-            spec = FamilySpec(GHZ_COLOR, args.p)
-        except ValueError as exc:
-            parser.error(str(exc))
-        payload = {"family": GHZ_COLOR, "p": args.p}
-    return realize(spec), _digest(payload), spec
+    params, payload = _family_params(args, parser)
+    try:
+        spec = FamilySpec(args.family, args.p, params)
+    except ValueError as exc:
+        parser.error(str(exc))
+    return realize(spec), _digest({**payload, "p": args.p}), spec
 
 
 def _report(args, digest: str, result: dict) -> dict:
@@ -233,11 +245,7 @@ def _cmd_bound(args, parser):
     if report.optimizer_value is not None:
         result["optimizer_value"] = report.optimizer_value
     if report.certificate is not None:
-        result["certificate"] = {
-            "settings": _settings_payload(report.certificate.settings),
-            "achieved": report.certificate.achieved,
-            "residual": report.certificate.residual,
-        }
+        result["certificate"] = _certificate_payload(report.certificate)
     return _emit(_report(args, digest, result))
 
 
@@ -256,23 +264,11 @@ def _cmd_optimize(args, parser):
 
 
 def _cmd_threshold(args, parser):
-    theta, theta3 = _angles(args)
     method = CLOSED_FORM if args.method == "closed-form" else BISECTION
-    if args.family == GHZ_WHITE:
-        if theta is None or theta3 is None:
-            parser.error("ghz-white requires --theta and --theta3")
-        try:
-            params = GhzClassParams(theta, theta3)
-        except ValueError as exc:
-            parser.error(str(exc))
-        digest = _digest({"family": GHZ_WHITE, "theta": theta, "theta3": theta3})
-    else:
-        if theta is not None or theta3 is not None:
-            parser.error("ghz-color takes no --theta/--theta3")
-        params = None
-        digest = _digest({"family": GHZ_COLOR})
+    params, payload = _family_params(args, parser)
     report = violation_threshold(args.family, params, method=method)
-    return _emit(_report(args, digest, {"p_star": report.p_star, "method": report.method}))
+    result = {"p_star": report.p_star, "method": report.method}
+    return _emit(_report(args, _digest(payload), result))
 
 
 def _parse_grid(text: str, parser: _Parser, flag: str) -> list[float]:
@@ -341,23 +337,15 @@ def _cmd_scan(args, parser):
 
 
 def _cmd_certify(args, parser):
-    rho, digest, _ = _resolve_state(args, parser)
     if not 0.0 < args.tol < math.inf:
         parser.error("--tol must be finite and positive")
+    rho, digest, _ = _resolve_state(args, parser)
     cfg = OptimizerConfig(starts=args.starts, seed=args.seed)
-    matrix = unfold(correlation_tensor(rho))
-    spectrum = singular_spectrum(matrix)
-    certificate, witness = _certify(rho, matrix, spectrum, args.tol, cfg)
-    q_bound = 4.0 * spectrum.lambda1
+    state = analyze(rho)
+    certificate, witness = _certify(state, args.tol, cfg)
+    q_bound = state.q_bound
     if certificate is not None:
-        result = {
-            "q_bound": q_bound,
-            "certificate": {
-                "settings": _settings_payload(certificate.settings),
-                "achieved": certificate.achieved,
-                "residual": certificate.residual,
-            },
-        }
+        result = {"q_bound": q_bound, "certificate": _certificate_payload(certificate)}
     else:
         result = {"q_bound": q_bound, "certificate": None, "gap": q_bound - witness.best_value}
     return _emit(_report(args, digest, result))

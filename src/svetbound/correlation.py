@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import IMAG_RESIDUE_ATOL, kron3, pauli, validate_density
+from .qcore import IMAG_RESIDUE_ATOL, _readonly, kron3, pauli, validate_density
 
 DEGENERACY_RTOL = 1e-7
 _ZERO_SINGULAR_RTOL = 1e-10
@@ -23,14 +23,6 @@ _TRIPLES = np.stack(
     [kron3(pauli(i), pauli(j), pauli(k)) for i in (1, 2, 3) for j in (1, 2, 3) for k in (1, 2, 3)]
 )
 _TRIPLES.setflags(write=False)
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr)
-    if out is arr:
-        out = arr.copy()
-    out.setflags(write=False)
-    return out
 
 
 def correlation_tensor(rho) -> np.ndarray:
@@ -137,6 +129,35 @@ def singular_spectrum(matrix) -> SingularSpectrum:
         degenerate_top=degenerate,
         degeneracy_tol=tol,
     )
+
+
+@dataclass(frozen=True)
+class StateAnalysis:
+    """A validated state with its correlation tensor, 3x9 unfolding and spectrum."""
+
+    rho: np.ndarray
+    tensor: np.ndarray
+    matrix: np.ndarray
+    spectrum: SingularSpectrum
+
+    @property
+    def q_bound(self) -> float:
+        """The bound 4*lambda1 on the Svetlichny value."""
+        return 4.0 * self.spectrum.lambda1
+
+
+def analyze(rho) -> StateAnalysis:
+    """Validate a density matrix and build its tensor, unfolding and spectrum once.
+
+    correlation_tensor does the validation; rho is kept as the read-only complex
+    copy validate_density returns. A StateAnalysis is returned unchanged.
+    """
+    if isinstance(rho, StateAnalysis):
+        return rho
+    tensor = correlation_tensor(rho)
+    matrix = unfold(tensor)
+    rho = _readonly(np.asarray(rho, dtype=complex))
+    return StateAnalysis(rho, tensor, matrix, singular_spectrum(matrix))
 
 
 def local_rotate(tensor, rot_a, rot_b, rot_c) -> np.ndarray:

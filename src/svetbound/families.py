@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import correlation_tensor, singular_spectrum, unfold
+from .correlation import StateAnalysis, analyze
 from .qcore import pure_to_density, validate_density
 
 GHZ_WHITE = "ghz-white"
@@ -120,9 +120,8 @@ class ThresholdReport:
     method: str
 
 
-def _lambda1_at_unit_weight(kind: str, params: GhzClassParams | None) -> float:
-    spec = FamilySpec(kind, 1.0, params if kind == GHZ_WHITE else None)
-    return singular_spectrum(unfold(correlation_tensor(realize(spec)))).lambda1
+def _analyze_member(kind: str, p: float, params: GhzClassParams | None) -> StateAnalysis:
+    return analyze(realize(FamilySpec(kind, p, params if kind == GHZ_WHITE else None)))
 
 
 def violation_threshold(
@@ -137,17 +136,15 @@ def violation_threshold(
     """
     if method not in (CLOSED_FORM, BISECTION):
         raise ValueError(f"unknown threshold method {method!r}")
-    lam1 = _lambda1_at_unit_weight(kind, params)
-    if 4.0 * lam1 <= 4.0:
+    q_bound = _analyze_member(kind, 1.0, params).q_bound
+    if q_bound <= 4.0:
         return ThresholdReport(None, method)
     if method == CLOSED_FORM:
-        return ThresholdReport(4.0 / (4.0 * lam1), method)
+        return ThresholdReport(4.0 / q_bound, method)
     lo, hi = 0.0, 1.0
     while hi - lo > _BISECTION_P_TOL:
         mid = 0.5 * (lo + hi)
-        spec = FamilySpec(kind, mid, params if kind == GHZ_WHITE else None)
-        q_mid = 4.0 * singular_spectrum(unfold(correlation_tensor(realize(spec)))).lambda1
-        if q_mid > 4.0:
+        if _analyze_member(kind, mid, params).q_bound > 4.0:
             hi = mid
         else:
             lo = mid
@@ -168,14 +165,17 @@ class GmeReport:
     clamped_lb: float
 
 
+def _norm_lower_bound(state: StateAnalysis) -> tuple[float, float]:
+    # Squared Hilbert-Schmidt norm of the unfolding and the bound sqrt(hs/8) - 1/2 built on it.
+    hs_norm_sq = float(np.sum(state.matrix * state.matrix))
+    return hs_norm_sq, math.sqrt(hs_norm_sq / 8.0) - 0.5
+
+
 def gme_lower_bound(rho) -> GmeReport:
     """Genuine-multipartite-entanglement concurrence lower bounds for a state."""
-    rho = validate_density(rho)
-    matrix = unfold(correlation_tensor(rho))
-    spectrum = singular_spectrum(matrix)
-    hs_norm_sq = float(np.sum(matrix * matrix))
-    lb_value = math.sqrt(hs_norm_sq / 8.0) - 0.5
-    chain_value = (4.0 * spectrum.lambda1) / 8.0 - 0.5
+    state = analyze(rho)
+    hs_norm_sq, lb_value = _norm_lower_bound(state)
+    chain_value = state.q_bound / 8.0 - 0.5
     return GmeReport(hs_norm_sq, lb_value, chain_value, max(0.0, lb_value))
 
 
@@ -223,13 +223,9 @@ def scan(
     for theta, theta3 in combos:
         params = GhzClassParams(theta, theta3) if kind == GHZ_WHITE else None
         for p in ps:
-            rho = realize(FamilySpec(kind, p, params))
-            matrix = unfold(correlation_tensor(rho))
-            spectrum = singular_spectrum(matrix)
-            q_bound = 4.0 * spectrum.lambda1
-            hs_norm_sq = float(np.sum(matrix * matrix))
-            lb_value = math.sqrt(hs_norm_sq / 8.0) - 0.5
+            state = _analyze_member(kind, p, params)
+            q_bound, lb_value = state.q_bound, _norm_lower_bound(state)[1]
             rows.append(
-                ScanRow(theta, theta3, p, spectrum.lambda1, q_bound, q_bound > 4.0, lb_value)
+                ScanRow(theta, theta3, p, state.spectrum.lambda1, q_bound, q_bound > 4.0, lb_value)
             )
     return rows

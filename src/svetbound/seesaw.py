@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import correlation_tensor, fold, singular_spectrum, unfold
+from .correlation import StateAnalysis, analyze, fold
 from .qcore import validate_density
 from .svetlichny import MeasurementSettings
 
@@ -178,6 +178,9 @@ def seesaw_step(matrix, settings: MeasurementSettings) -> tuple[MeasurementSetti
 def maximize(rho, config: OptimizerConfig | None = None) -> OptimizationResult:
     """Best absolute Svetlichny mean value found by seeded multistart see-saw.
 
+    rho is a density matrix, which is validated and analysed here, or a
+    StateAnalysis, whose tensor and spectrum are used as they are.
+
     Each start ascends both the + and - sign branches of the mean value from
     the same drawn settings; the - branch starts from the drawn settings with
     b and b' flipped, which negates the mean value, so both branches ascend
@@ -196,10 +199,9 @@ def maximize(rho, config: OptimizerConfig | None = None) -> OptimizationResult:
     than 1e-12, or when the result exceeds the singular-value bound
     4 lambda1 + 1e-7; both would mean a numerical failure.
     """
-    rho = validate_density(rho)
+    state = rho if isinstance(rho, StateAnalysis) else analyze(validate_density(rho))
     cfg = config if config is not None else OptimizerConfig()
-    tensor = np.asarray(correlation_tensor(rho))
-    blocks = _blocks(tensor)
+    blocks = _blocks(state.tensor)
     rng = np.random.Generator(np.random.PCG64(int(cfg.seed)))
 
     n = cfg.starts
@@ -251,10 +253,9 @@ def maximize(rho, config: OptimizerConfig | None = None) -> OptimizationResult:
     best_index = int(winner[best_start])
     best_value = float(per_start[best_start])
 
-    bound = 4.0 * singular_spectrum(unfold(tensor)).lambda1
-    if not best_value <= bound + _BOUND_SLACK:
+    if not best_value <= state.q_bound + _BOUND_SLACK:
         raise SeesawError(
-            f"see-saw value {best_value!r} exceeds the singular-value bound {bound!r}"
+            f"see-saw value {best_value!r} exceeds the singular-value bound {state.q_bound!r}"
         )
     return OptimizationResult(
         best_value=best_value,

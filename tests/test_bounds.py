@@ -116,6 +116,15 @@ class TestOneSeesawPerRequest:
             assert np.array_equal(report.certificate.settings.as_matrix(), alone.settings.as_matrix())
 
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0])
+    def test_bad_certificate_tol_rejected_before_seesaw(self, monkeypatch, tol):
+        calls = []
+        monkeypatch.setattr(svetbound.bounds, "maximize", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="tol"):
+            quantum_bound(pure_to_density(ghz_state()), CFG, certify=True, certificate_tol=tol)
+        assert calls == []
+
+
 class TestTightnessCertificate:
     def test_white_noise_p08(self):
         rho = realize(FamilySpec(GHZ_WHITE, 0.8, GhzClassParams(np.pi / 4, np.pi / 2)))

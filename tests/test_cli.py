@@ -298,9 +298,9 @@ class TestExitCodes:
         assert run_cli("bound", "--state", str(path)).returncode == 2
 
     def test_seesaw_check_failure_is_numerical(self, monkeypatch, capsys):
-        real = svetbound.seesaw.singular_spectrum
+        real = svetbound.correlation.singular_spectrum
         monkeypatch.setattr(
-            svetbound.seesaw,
+            svetbound.correlation,
             "singular_spectrum",
             lambda m: dataclasses.replace(real(m), lambda1=1e-3),
         )
@@ -311,6 +311,16 @@ class TestExitCodes:
     def test_non_finite_tolerances_are_usage_errors(self, tol, capsys):
         assert exit_code("certify", *GHZ_FLAGS, "--p", "1", "--starts", "2", "--tol", tol) == 1
         assert exit_code("optimize", *GHZ_FLAGS, "--p", "1", "--starts", "2", "--tol", tol) == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_bad_tol_checked_before_the_state_is_read(self, tol, tmp_path, capsys):
+        # The state alone would exit 2; the tolerance is a usage error found first.
+        bad = np.zeros((8, 8), dtype=complex)
+        bad[0, 0] = 2.0
+        path = tmp_path / "bad.json"
+        write_state_file(path, bad)
+        assert exit_code("certify", "--state", str(path)) == 2
+        assert exit_code("certify", "--state", str(path), "--tol", tol) == 1
 
     @pytest.mark.parametrize("subcommand", ["bound", "optimize", "certify"])
     def test_starts_above_cap(self, subcommand, monkeypatch, capsys):

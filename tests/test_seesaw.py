@@ -148,7 +148,7 @@ def _tiny_spectrum(matrix):
 
 class TestInvariantChecks:
     def test_bound_violation_raises(self, monkeypatch):
-        monkeypatch.setattr(svetbound.seesaw, "singular_spectrum", _tiny_spectrum)
+        monkeypatch.setattr(svetbound.correlation, "singular_spectrum", _tiny_spectrum)
         with pytest.raises(SeesawError, match="singular-value bound"):
             maximize(pure_to_density(ghz_state()), OptimizerConfig(starts=2, seed=0))
 
@@ -156,9 +156,9 @@ class TestInvariantChecks:
         # python -O strips assert statements; the check must still fire.
         script = (
             "import dataclasses, sys\n"
-            "import svetbound.seesaw as s\n"
-            "real = s.singular_spectrum\n"
-            "s.singular_spectrum = lambda m: dataclasses.replace(real(m), lambda1=1e-3)\n"
+            "import svetbound.correlation as c, svetbound.seesaw as s\n"
+            "real = c.singular_spectrum\n"
+            "c.singular_spectrum = lambda m: dataclasses.replace(real(m), lambda1=1e-3)\n"
             "from svetbound import ghz_state, pure_to_density, OptimizerConfig, SeesawError\n"
             "try:\n"
             "    s.maximize(pure_to_density(ghz_state()), OptimizerConfig(starts=2))\n"

@@ -313,20 +313,9 @@ def _cmd_scan(args, parser):
     with _atomic_open(args.out) as handle:
         handle.write("theta,theta3,p,lambda1,q_bound,violates,gme_lb\n")
         for row in rows:
-            handle.write(
-                ",".join(
-                    [
-                        _fmt9(row.theta),
-                        _fmt9(row.theta3),
-                        _fmt9(row.p),
-                        _fmt9(row.lambda1),
-                        _fmt9(row.q_bound),
-                        "true" if row.violates else "false",
-                        _fmt9(row.gme_lb),
-                    ]
-                )
-                + "\n"
-            )
+            cells = [_fmt9(v) for v in (row.theta, row.theta3, row.p, row.lambda1, row.q_bound)]
+            cells += ["true" if row.violates else "false", _fmt9(row.gme_lb)]
+            handle.write(",".join(cells) + "\n")
     result = {
         "out": args.out,
         "rows": len(rows),
@@ -382,14 +371,14 @@ def build_parser() -> _Parser:
     bound.add_argument("--starts", type=int, default=50)
     bound.add_argument("--seed", type=int, default=0)
     bound.add_argument("--certify", action="store_true", help="also search for a tightness certificate")
-    bound.set_defaults(func=_cmd_bound)
+    bound.set_defaults(func=_cmd_bound, parser=bound)
 
     optimize = subs.add_parser("optimize", help="multistart see-saw maximal value")
     _add_state_source(optimize)
     optimize.add_argument("--starts", type=int, default=50)
     optimize.add_argument("--seed", type=int, default=0)
     optimize.add_argument("--tol", type=float, default=1e-10, help="per-sweep convergence tolerance")
-    optimize.set_defaults(func=_cmd_optimize)
+    optimize.set_defaults(func=_cmd_optimize, parser=optimize)
 
     threshold = subs.add_parser("threshold", help="critical mixing weight p*")
     threshold.add_argument("--family", choices=[GHZ_WHITE, GHZ_COLOR], required=True)
@@ -398,7 +387,7 @@ def build_parser() -> _Parser:
     threshold.add_argument("--degrees", action="store_true")
     threshold.add_argument("--method", choices=["closed-form", "bisection"], default="closed-form")
     threshold.add_argument("--seed", type=int, default=0)
-    threshold.set_defaults(func=_cmd_threshold)
+    threshold.set_defaults(func=_cmd_threshold, parser=threshold)
 
     scan_cmd = subs.add_parser("scan", help="grid scan to CSV")
     scan_cmd.add_argument("--family", choices=[GHZ_WHITE, GHZ_COLOR], required=True)
@@ -408,32 +397,31 @@ def build_parser() -> _Parser:
     scan_cmd.add_argument("--degrees", action="store_true")
     scan_cmd.add_argument("--out", required=True, metavar="FILE", help="CSV output path")
     scan_cmd.add_argument("--seed", type=int, default=0)
-    scan_cmd.set_defaults(func=_cmd_scan)
+    scan_cmd.set_defaults(func=_cmd_scan, parser=scan_cmd)
 
     certify = subs.add_parser("certify", help="settings attaining 4*lambda1, if any")
     _add_state_source(certify)
     certify.add_argument("--tol", type=float, default=1e-6, help="certificate tolerance")
     certify.add_argument("--starts", type=int, default=50)
     certify.add_argument("--seed", type=int, default=0)
-    certify.set_defaults(func=_cmd_certify)
+    certify.set_defaults(func=_cmd_certify, parser=certify)
 
     gme = subs.add_parser("gme", help="entanglement concurrence lower bounds")
     _add_state_source(gme)
     gme.add_argument("--seed", type=int, default=0)
-    gme.set_defaults(func=_cmd_gme)
+    gme.set_defaults(func=_cmd_gme, parser=gme)
 
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args.argv = argv
     if getattr(args, "starts", 0) > MAX_STARTS:
-        parser.error(f"--starts must be at most {MAX_STARTS}")
+        args.parser.error(f"--starts must be at most {MAX_STARTS}")
     try:
-        return args.func(args, parser)
+        return args.func(args, args.parser)
     except StateValidationError as exc:
         print(f"svetbound: state validation failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

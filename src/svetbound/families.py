@@ -10,6 +10,7 @@ import numpy as np
 
 from .correlation import StateAnalysis, analyze
 from .qcore import pure_to_density, validate_density
+from .svetlichny import CLASSICAL_BOUND
 
 GHZ_WHITE = "ghz-white"
 GHZ_COLOR = "ghz-color"
@@ -39,6 +40,11 @@ class GhzClassParams:
                 raise ValueError(f"{name} must lie in [0, pi/2], got {value!r}")
 
 
+def _check_weight(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p!r}")
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A parameterized noisy state: kind, mixing weight p, and angles for ghz-white."""
@@ -50,8 +56,7 @@ class FamilySpec:
     def __post_init__(self):
         if self.kind not in (GHZ_WHITE, GHZ_COLOR):
             raise ValueError(f"unknown family kind {self.kind!r}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
+        _check_weight(self.p)
         if self.kind == GHZ_WHITE and self.params is None:
             raise ValueError("ghz-white requires GhzClassParams")
         if self.kind == GHZ_COLOR and self.params is not None:
@@ -102,8 +107,7 @@ def analytic_singular_values(params: GhzClassParams, p: float) -> tuple[float, f
     value is p sqrt(1 - sin^2(2 theta) sin^2(theta3)), consistent with the
     diagonal correlation entry cos^2(theta) + sin^2(theta) cos(2 theta3).
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
+    _check_weight(p)
     sin_two_theta = math.sin(2.0 * params.theta)
     sin_theta3 = math.sin(params.theta3)
     pair = p * abs(sin_two_theta) * math.sqrt(1.0 + sin_theta3 * sin_theta3)
@@ -137,14 +141,14 @@ def violation_threshold(
     if method not in (CLOSED_FORM, BISECTION):
         raise ValueError(f"unknown threshold method {method!r}")
     q_bound = _analyze_member(kind, 1.0, params).q_bound
-    if q_bound <= 4.0:
+    if q_bound <= CLASSICAL_BOUND:
         return ThresholdReport(None, method)
     if method == CLOSED_FORM:
-        return ThresholdReport(4.0 / q_bound, method)
+        return ThresholdReport(CLASSICAL_BOUND / q_bound, method)
     lo, hi = 0.0, 1.0
     while hi - lo > _BISECTION_P_TOL:
         mid = 0.5 * (lo + hi)
-        if _analyze_member(kind, mid, params).q_bound > 4.0:
+        if _analyze_member(kind, mid, params).q_bound > CLASSICAL_BOUND:
             hi = mid
         else:
             lo = mid
@@ -165,16 +169,17 @@ class GmeReport:
     clamped_lb: float
 
 
-def _norm_lower_bound(state: StateAnalysis) -> tuple[float, float]:
-    # Squared Hilbert-Schmidt norm of the unfolding and the bound sqrt(hs/8) - 1/2 built on it.
+def _unfolding_norm(state: StateAnalysis) -> tuple[float, float]:
+    # Squared Hilbert-Schmidt norm hs of the unfolding, and sqrt(hs/8) = GME bound + 1/2.
     hs_norm_sq = float(np.sum(state.matrix * state.matrix))
-    return hs_norm_sq, math.sqrt(hs_norm_sq / 8.0) - 0.5
+    return hs_norm_sq, math.sqrt(hs_norm_sq / 8.0)
 
 
 def gme_lower_bound(rho) -> GmeReport:
     """Genuine-multipartite-entanglement concurrence lower bounds for a state."""
     state = analyze(rho)
-    hs_norm_sq, lb_value = _norm_lower_bound(state)
+    hs_norm_sq, norm = _unfolding_norm(state)
+    lb_value = norm - 0.5
     chain_value = state.q_bound / 8.0 - 0.5
     return GmeReport(hs_norm_sq, lb_value, chain_value, max(0.0, lb_value))
 
@@ -199,6 +204,8 @@ def scan(
     """Grid evaluation of the family: one row per (theta, theta3, p), sorted ascending
     with p varying fastest.
 
+    Each angle pair is analysed once, at p = 1; since T(p) = p*T(1), every row scales
+    that member: lambda1 = p*lambda1(1), gme_lb = p*sqrt(||M(1)||_HS^2/8) - 1/2.
     The violates flag records q_bound > 4; on these two families the bound is
     attained, so the flag coincides with certified violation. ghz-color takes
     only a p grid and echoes the GHZ angles (pi/4, pi/2) in the angle columns.
@@ -206,6 +213,8 @@ def scan(
     ps = sorted(float(p) for p in (ps if ps is not None else []))
     if not ps:
         raise ValueError("p grid must be nonempty")
+    for p in ps:
+        _check_weight(p)
     if kind == GHZ_WHITE:
         thetas = sorted(float(t) for t in (thetas if thetas is not None else []))
         theta3s = sorted(float(t) for t in (theta3s if theta3s is not None else []))
@@ -221,11 +230,11 @@ def scan(
 
     rows = []
     for theta, theta3 in combos:
-        params = GhzClassParams(theta, theta3) if kind == GHZ_WHITE else None
+        state = _analyze_member(kind, 1.0, GhzClassParams(theta, theta3))
+        lambda1, norm = state.spectrum.lambda1, _unfolding_norm(state)[1]
         for p in ps:
-            state = _analyze_member(kind, p, params)
-            q_bound, lb_value = state.q_bound, _norm_lower_bound(state)[1]
-            rows.append(
-                ScanRow(theta, theta3, p, state.spectrum.lambda1, q_bound, q_bound > 4.0, lb_value)
-            )
+            lambda1_p = p * lambda1
+            q_bound = 4.0 * lambda1_p
+            violates = q_bound > CLASSICAL_BOUND
+            rows.append(ScanRow(theta, theta3, p, lambda1_p, q_bound, violates, p * norm - 0.5))
     return rows

@@ -1,8 +1,31 @@
 """Shared helpers for the test suite: seeded random states, rotations, fixtures."""
 
+import collections
+import sys
+
 import numpy as np
 
 GHZ_OPTIMUM = 4.0 * np.sqrt(2.0)
+
+
+def count_calls(monkeypatch, qualnames):
+    """Count calls of the svetbound functions named "module.name" under every name
+    a svetbound module binds them to; the counts are keyed by the bare name."""
+    counts = collections.Counter()
+    modules = [m for n, m in sys.modules.items() if n == "svetbound" or n.startswith("svetbound.")]
+    for qualname in qualnames:
+        module_name, attr = qualname.rsplit(".", 1)
+        original = getattr(sys.modules[f"svetbound.{module_name}"], attr)
+
+        def counting(*args, _fn=original, _name=attr, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+    return counts
 
 
 def rng(seed):

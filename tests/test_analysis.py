@@ -1,8 +1,5 @@
 """StateAnalysis: one validation, tensor and spectrum per request, shared by every layer."""
 
-import collections
-import sys
-
 import numpy as np
 import pytest
 
@@ -22,7 +19,7 @@ from svetbound import (
 from svetbound.cli import main, write_state_file
 from svetbound.correlation import StateAnalysis, analyze
 
-from support import random_density, rng
+from support import count_calls, random_density, rng
 
 CFG = OptimizerConfig(starts=8, seed=0)
 
@@ -37,22 +34,7 @@ COUNTED = (
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count calls of the COUNTED functions under every name a svetbound module binds them to."""
-    counts = collections.Counter()
-    modules = [m for n, m in sys.modules.items() if n == "svetbound" or n.startswith("svetbound.")]
-    for qualname in COUNTED:
-        module_name, attr = qualname.rsplit(".", 1)
-        original = getattr(sys.modules[f"svetbound.{module_name}"], attr)
-
-        def counting(*args, _fn=original, _name=attr, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-
-        for module in modules:
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, counting)
-    return counts
+    return count_calls(monkeypatch, COUNTED)
 
 
 def _rank4_state():

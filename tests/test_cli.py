@@ -173,6 +173,20 @@ class TestScan:
         # stdout differs only in the echoed --out path
         assert json.loads(json_a)["result"]["rows"] == json.loads(json_b)["result"]["rows"]
 
+    def test_readme_example_matches_recorded_csv(self, tmp_path, capsys):
+        out_path = tmp_path / "scan.csv"
+        assert main(["scan", "--family", "ghz-white", "--thetas", "0.785398", "--theta3s",
+                     "1.570796", "--ps", "0.6:0.8:21", "--out", str(out_path)]) == 0
+        assert out_path.read_bytes() == (FIXTURES / "scan_readme_example.csv").read_bytes()
+
+    def test_weight_out_of_range(self, tmp_path, capsys):
+        out_path = tmp_path / "x.csv"
+        assert exit_code("scan", "--family", "ghz-color", "--ps", "0.5,1.5", "--out", str(out_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: svetbound scan ")
+        assert "p must lie in [0, 1], got 1.5" in err
+        assert not out_path.exists()
+
     def test_unwritable_out_path(self, tmp_path):
         proc = run_cli("scan", "--family", "ghz-color", "--ps", "0.5",
                        "--out", str(tmp_path / "missing" / "x.csv"))
@@ -327,7 +341,15 @@ class TestExitCodes:
         monkeypatch.setattr(svetbound.cli, "_resolve_state", _no_work)
         starts = str(svetbound.cli.MAX_STARTS + 1)
         assert exit_code(subcommand, *GHZ_FLAGS, "--p", "1", "--starts", starts) == 1
-        assert "--starts must be at most" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: svetbound {subcommand} ")
+        assert "--starts must be at most" in err
+
+    def test_subcommand_error_prints_the_subcommand_usage(self, capsys):
+        assert exit_code("threshold", "--family", "ghz-white") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: svetbound threshold ")
+        assert "ghz-white requires --theta and --theta3" in err
 
     def test_grid_count_above_cap(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(svetbound.cli, "scan", _no_work)

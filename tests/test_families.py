@@ -21,8 +21,21 @@ from svetbound import (
     validate_density,
     violation_threshold,
 )
+from svetbound.correlation import analyze
+
+from support import count_calls
 
 GHZ_PARAMS = GhzClassParams(np.pi / 4, np.pi / 2)
+
+# The per-angle-pair work of a scan: one realized member and one analysis of it.
+SCAN_WORK = (
+    "correlation.analyze",
+    "correlation.correlation_tensor",
+    "correlation.singular_spectrum",
+    "families.realize",
+)
+EDGE_ANGLES = [0.0, np.pi / 8, np.pi / 4, np.pi / 2]
+EDGE_PS = [k / 10 for k in range(11)]
 
 
 class TestGhzClassState:
@@ -167,6 +180,12 @@ class TestViolationThreshold:
         none_closed = violation_threshold(GHZ_WHITE, GhzClassParams(0.1, 0.1), method=BISECTION)
         assert none_closed.p_star is None
 
+    def test_bisection_analyses_every_member(self, monkeypatch):
+        # The reference path: the p = 1 member, then one member per halving of [0, 1] down to 1e-9.
+        calls = count_calls(monkeypatch, SCAN_WORK)
+        violation_threshold(GHZ_COLOR, method=BISECTION)
+        assert dict(calls) == {name.split(".")[1]: 31 for name in SCAN_WORK}
+
     def test_threshold_sits_on_boundary(self):
         report = violation_threshold(GHZ_WHITE, GHZ_PARAMS)
         rho = realize(FamilySpec(GHZ_WHITE, report.p_star, GHZ_PARAMS))
@@ -250,3 +269,36 @@ class TestScan:
         a = scan(GHZ_WHITE, [0.4], [0.9], [0.3, 0.8])
         b = scan(GHZ_WHITE, [0.4], [0.9], [0.3, 0.8])
         assert a == b
+
+    @pytest.mark.parametrize("kind", [GHZ_WHITE, GHZ_COLOR])
+    def test_rows_match_each_member(self, kind):
+        angles = EDGE_ANGLES if kind == GHZ_WHITE else None
+        rows = scan(kind, angles, angles, EDGE_PS)
+        assert len(rows) == (len(EDGE_ANGLES) ** 2 if kind == GHZ_WHITE else 1) * len(EDGE_PS)
+        for row in rows:
+            params = GhzClassParams(row.theta, row.theta3) if kind == GHZ_WHITE else None
+            member = analyze(realize(FamilySpec(kind, row.p, params)))
+            assert abs(row.lambda1 - member.spectrum.lambda1) <= 1e-12
+            assert abs(row.q_bound - member.q_bound) <= 1e-12
+            assert abs(row.gme_lb - gme_lower_bound(member).lb_value) <= 1e-12
+            assert row.violates == (member.q_bound > 4.0)
+
+    def test_one_analysis_per_angle_pair(self, monkeypatch):
+        calls = count_calls(monkeypatch, SCAN_WORK)
+        angles = list(np.linspace(0.1, 1.5, 6))
+        ps = list(np.linspace(0.0, 1.0, 20))
+        assert len(scan(GHZ_WHITE, angles, angles, ps)) == 720
+        assert dict(calls) == {name.split(".")[1]: 36 for name in SCAN_WORK}
+        for count in (1, 720):
+            calls.clear()
+            assert len(scan(GHZ_COLOR, ps=list(np.linspace(0.0, 1.0, count)))) == count
+            assert dict(calls) == {name.split(".")[1]: 1 for name in SCAN_WORK}
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
+    def test_bad_weight_rejected_before_any_analysis(self, monkeypatch, bad):
+        calls = count_calls(monkeypatch, SCAN_WORK)
+        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+            scan(GHZ_WHITE, [0.4], [0.9], [0.5, bad])
+        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+            scan(GHZ_COLOR, ps=[0.5, bad])
+        assert not calls

@@ -4,6 +4,8 @@ and tightness certificates.
 A mean value above 4 witnesses genuine tripartite nonlocality, but 4*lambda1 is
 only an upper bound: exceeding 4 does not by itself certify a violation, so the
 classification is three-valued and the see-saw optimizer supplies the witness.
+Whether the bound itself is attained is decided in closed form, from the top
+right-singular subspace of the unfolding.
 """
 
 from __future__ import annotations
@@ -11,10 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+
+# Not called here; kept because bench/trace.py binds svetbound.bounds.minimize by name.
+from scipy.optimize import minimize  # noqa: F401
 
 from .correlation import SingularSpectrum, StateAnalysis, analyze
-from .seesaw import OptimizationResult, OptimizerConfig, maximize
+from .seesaw import OptimizerConfig, maximize
 from .svetlichny import CLASSICAL_BOUND, MeasurementSettings, svetlichny_value
 
 CERTIFIED_VIOLATION = "CertifiedViolation"
@@ -24,8 +28,7 @@ INCONCLUSIVE = "Inconclusive"
 VIOLATION_MARGIN = 1e-9
 DEFAULT_CERTIFICATE_TOL = 1e-6
 
-_SUBSPACE_RESIDUAL_TOL = 1e-8
-_DECOMPOSE_STARTS = 50
+_RANK_ONE_RTOL = 1e-6
 _TINY_NORM = 1e-12
 _FALLBACK_AXIS = np.array([0.0, 0.0, 1.0])
 
@@ -61,106 +64,84 @@ def quantum_bound(
     CertifiedNoViolation when the bound itself stays at or below 4. Otherwise
     the see-saw optimizer runs: CertifiedViolation when it exhibits a value
     above 4 + 1e-9, else Inconclusive (the bound exceeds 4 but no violating
-    settings were found). Pass certify=True to also attach a tightness
-    certificate when one exists; certificate_tol is then checked before any work.
+    settings were found). The see-saw runs only to classify, so at most once
+    and never when the bound is at most 4. Pass certify=True to also attach
+    tightness_certificate(rho, certificate_tol), which needs no see-saw and no
+    seed; certificate_tol is then checked before any work.
     """
     if certify and not 0.0 < certificate_tol < np.inf:
         raise ValueError("certificate_tol must be finite and positive")
     state = analyze(rho)
-    cfg = config if config is not None else OptimizerConfig()
-    witness: OptimizationResult | None = None
+    optimizer_value = None
     if state.q_bound <= CLASSICAL_BOUND:
         classification = CERTIFIED_NO_VIOLATION
     else:
-        witness = maximize(state, cfg)
-        if witness.best_value > CLASSICAL_BOUND + VIOLATION_MARGIN:
+        optimizer_value = maximize(state, config).best_value
+        if optimizer_value > CLASSICAL_BOUND + VIOLATION_MARGIN:
             classification = CERTIFIED_VIOLATION
         else:
             classification = INCONCLUSIVE
-    optimizer_value = witness.best_value if witness is not None else None
-    certificate = None
-    if certify:
-        certificate, _ = _certify(state, certificate_tol, cfg, witness)
+    certificate = tightness_certificate(state, certificate_tol) if certify else None
     return BoundReport(state.spectrum, state.q_bound, classification, optimizer_value, certificate)
 
 
-def tightness_certificate(
-    rho,
-    tol: float = DEFAULT_CERTIFICATE_TOL,
-    config: OptimizerConfig | None = None,
-) -> Certificate | None:
-    """Measurement settings whose |<S>| reaches 4*lambda1 - tol, if any are found.
+def tightness_certificate(rho, tol: float = DEFAULT_CERTIFICATE_TOL) -> Certificate | None:
+    """Measurement settings whose |<S>| reaches 4*lambda1 - tol, or None when the
+    bound is not attained.
 
-    Strategy: the see-saw optimizer's best settings are the certificate when
-    they reach the target. Otherwise, when the top singular value is
-    (numerically) degenerate, the top singular subspace is searched for two
-    orthogonal 9-vectors u = a(x)c - a'(x)c' and v = a(x)c' + a'(x)c with unit
-    3-vectors; b and b' are then the closed-form see-saw update
-    b = unit(M(u+v)), b' = unit(M(u-v)). Returns None when neither route
-    attains the target; absence is a valid answer since the bound need not be
-    tight. tol must be finite and positive.
-    """
-    cfg = config if config is not None else OptimizerConfig()
-    return _certify(analyze(rho), tol, cfg)[0]
-
-
-def _certify(
-    state: StateAnalysis,
-    tol: float,
-    cfg: OptimizerConfig,
-    witness: OptimizationResult | None = None,
-) -> tuple[Certificate | None, OptimizationResult]:
-    """tightness_certificate for an analysed state, returned with the see-saw
-    result it started from.
-
-    witness, when given, must be maximize(state, cfg); it is then used instead
-    of running the see-saw again. Only svetlichny_value, the independent
-    check, revalidates state.rho.
+    rho is a density matrix or a StateAnalysis. Write x = a + i a' and
+    y = c + i c'; then u + i v = x (x) y holds u = a(x)c - a'(x)c' and
+    v = a(x)c' + a'(x)c, and |<S>| <= |M(u+v)| + |M(u-v)| <= 4*lambda1. The
+    bound is attained exactly when the complexified top right-singular subspace
+    holds a rank-1 element x y^T, read as a 3x3 matrix (rows party A, columns
+    party C). With R1, R2 the top right-singular vectors as 3x3 matrices, the
+    candidates are R1, and when the top value is degenerate also R2 and
+    R1 + t R2 at the roots t of a 2x2 minor, which is quadratic in t. The
+    candidate closest to rank 1 is used if its second singular value is below
+    1e-6 of its first. Its singular vectors x, y are rotated in phase so that
+    |Re| = |Im| and scaled to |x|^2 = |y|^2 = 2, which makes a, a', c, c' unit
+    vectors; b = unit(M(u+v)) and b' = unit(M(u-v)) are then optimal. The
+    result is deterministic and needs no see-saw and no seed. The settings are
+    the certificate only when the independent trace oracle svetlichny_value
+    confirms |<S>| >= 4*lambda1 - tol. tol must be finite and positive.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be finite and positive")
-    spectrum = state.spectrum
-    target = state.q_bound - tol
-    if witness is None:
-        witness = maximize(state, cfg)
-    settings = witness.best_settings
+    state = analyze(rho)
+    settings = _rank_one_settings(state)
+    if settings is None:
+        return None
     achieved = svetlichny_value(state.rho, settings)
-    if abs(achieved) < target and spectrum.degenerate_top and spectrum.right9_2 is not None:
-        subspace = _subspace_certificate(state, seed=cfg.seed)
-        if subspace is not None:
-            settings, achieved = subspace, svetlichny_value(state.rho, subspace)
-    if abs(achieved) >= target:
-        return Certificate(settings, achieved, state.q_bound - abs(achieved)), witness
-    return None, witness
+    if abs(achieved) < state.q_bound - tol:
+        return None
+    return Certificate(settings, achieved, state.q_bound - abs(achieved))
 
 
-def _split_unit(x: np.ndarray) -> tuple[np.ndarray, ...]:
-    blocks = []
-    for idx in range(4):
-        block = x[3 * idx : 3 * idx + 3]
-        norm = float(np.linalg.norm(block))
-        blocks.append(block / max(norm, _TINY_NORM))
-    return tuple(blocks)
+def _minors(m: np.ndarray) -> np.ndarray:
+    # The nine 2x2 minors of each 3x3 matrix, up to sign: cross products of its rows.
+    rows, cols = m[:, [1, 2, 0]], m[:, [2, 0, 1]]
+    return rows[..., [1, 2, 0]] * cols[..., [2, 0, 1]] - rows[..., [2, 0, 1]] * cols[..., [1, 2, 0]]
 
 
-def _decompose_top_subspace(basis: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, ...] | None:
-    # Multistart minimization of the squared component of u and v outside span(basis).
-    def residual(x: np.ndarray) -> float:
-        a, ap, c, cp = _split_unit(x)
-        u = np.kron(a, c) - np.kron(ap, cp)
-        v = np.kron(a, cp) + np.kron(ap, c)
-        pu = u - basis.T @ (basis @ u)
-        pv = v - basis.T @ (basis @ v)
-        return float(pu @ pu + pv @ pv)
+def _candidates(spectrum: SingularSpectrum) -> np.ndarray:
+    r1 = spectrum.right9_1.reshape(3, 3)
+    if not spectrum.degenerate_top:
+        return r1[None].astype(complex)
+    r2 = spectrum.right9_2.reshape(3, 3)
+    # Each minor of r1 + t r2 is c2 t^2 + c1 t + c0. A rank-1 combination is a
+    # common root of all nine; the largest minor is not identically zero unless
+    # every combination has rank at most 1, and t = infinity is r2 itself.
+    c2, c0, c_sum = _minors(np.stack([r2, r1, r1 + r2])).reshape(3, 9)
+    coeffs = np.stack([c2, c_sum - c0 - c2, c0], axis=1)
+    roots = np.roots(coeffs[np.argmax(np.einsum("ij,ij->i", coeffs, coeffs))])
+    roots = roots[np.isfinite(roots)]
+    return np.concatenate([np.stack([r1, r2]), r1 + roots[:, None, None] * r2]).astype(complex)
 
-    for _ in range(_DECOMPOSE_STARTS):
-        x0 = rng.standard_normal(12)
-        result = minimize(residual, x0, method="L-BFGS-B")
-        if result.fun < _SUBSPACE_RESIDUAL_TOL:
-            blocks = _split_unit(result.x)
-            if all(float(np.linalg.norm(b)) > 0.5 for b in blocks):
-                return blocks
-    return None
+
+def _balanced(x: np.ndarray) -> np.ndarray:
+    # For unit x, e^{i phi} x with Re(e^{2i phi} x.x) = 0 has |Re| = |Im|; sqrt(2) makes both unit.
+    phase = np.exp(0.5j * (0.5 * np.pi - np.angle(x @ x)))
+    return np.sqrt(2.0) * phase * x
 
 
 def _unit_or_axis(x: np.ndarray) -> np.ndarray:
@@ -169,16 +150,13 @@ def _unit_or_axis(x: np.ndarray) -> np.ndarray:
     return x / norm if norm > _TINY_NORM else _FALLBACK_AXIS
 
 
-def _subspace_certificate(state: StateAnalysis, seed: int) -> MeasurementSettings | None:
-    basis = np.stack([state.spectrum.right9_1, state.spectrum.right9_2])
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
-    blocks = _decompose_top_subspace(basis, rng)
-    if blocks is None:
+def _rank_one_settings(state: StateAnalysis) -> MeasurementSettings | None:
+    left, sing, right = np.linalg.svd(_candidates(state.spectrum))
+    best = int(np.argmin(sing[:, 1] / sing[:, 0]))
+    if not sing[best, 1] <= _RANK_ONE_RTOL * sing[best, 0]:
         return None
-    a, ap, c, cp = blocks
-    u = np.kron(a, c) - np.kron(ap, cp)
-    v = np.kron(a, cp) + np.kron(ap, c)
-    # For fixed a, a', c, c' the value is b.M(u+v) + b'.M(u-v): maximal at these b, b'.
-    b = _unit_or_axis(state.matrix @ (u + v))
-    bp = _unit_or_axis(state.matrix @ (u - v))
-    return MeasurementSettings(a, ap, b, bp, c, cp)
+    x, y = _balanced(left[best, :, 0]), _balanced(right[best, 0])
+    z = np.kron(x, y)
+    b = _unit_or_axis(state.matrix @ (z.real + z.imag))
+    bp = _unit_or_axis(state.matrix @ (z.real - z.imag))
+    return MeasurementSettings(x.real, x.imag, b, bp, y.real, y.imag)

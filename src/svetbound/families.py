@@ -207,7 +207,8 @@ def scan(
     Each angle pair is analysed once, at p = 1; since T(p) = p*T(1), every row scales
     that member: lambda1 = p*lambda1(1), gme_lb = p*sqrt(||M(1)||_HS^2/8) - 1/2.
     The violates flag records q_bound > 4; on these two families the bound is
-    attained, so the flag coincides with certified violation. ghz-color takes
+    attained, so the flag coincides with certified violation. The p grid and
+    every angle pair are checked before any member is analysed. ghz-color takes
     only a p grid and echoes the GHZ angles (pi/4, pi/2) in the angle columns.
     """
     ps = sorted(float(p) for p in (ps if ps is not None else []))
@@ -220,21 +221,24 @@ def scan(
         theta3s = sorted(float(t) for t in (theta3s if theta3s is not None else []))
         if not thetas or not theta3s:
             raise ValueError("theta and theta3 grids must be nonempty")
-        combos = [(t, t3) for t in thetas for t3 in theta3s]
+        # Every angle pair is checked here, before any member is analysed.
+        pairs = [GhzClassParams(t, t3) for t in thetas for t3 in theta3s]
     elif kind == GHZ_COLOR:
         if thetas or theta3s:
             raise ValueError("ghz-color takes no angle grids")
-        combos = [(math.pi / 4.0, _HALF_PI)]
+        pairs = [GhzClassParams(math.pi / 4.0, _HALF_PI)]
     else:
         raise ValueError(f"unknown family kind {kind!r}")
 
     rows = []
-    for theta, theta3 in combos:
-        state = _analyze_member(kind, 1.0, GhzClassParams(theta, theta3))
+    for params in pairs:
+        state = _analyze_member(kind, 1.0, params)
         lambda1, norm = state.spectrum.lambda1, _unfolding_norm(state)[1]
         for p in ps:
             lambda1_p = p * lambda1
             q_bound = 4.0 * lambda1_p
             violates = q_bound > CLASSICAL_BOUND
-            rows.append(ScanRow(theta, theta3, p, lambda1_p, q_bound, violates, p * norm - 0.5))
+            rows.append(
+                ScanRow(params.theta, params.theta3, p, lambda1_p, q_bound, violates, p * norm - 0.5)
+            )
     return rows

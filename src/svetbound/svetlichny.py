@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .qcore import expectation, kron3, observable, unit_vector, validate_density
+from .qcore import expectation, pauli, unit_vector, validate_density
 
 #: Mean-value bound satisfied by every hybrid local-nonlocal (bi-LHV) model.
 CLASSICAL_BOUND = 4.0
+
+_PAULIS = np.stack([pauli(1), pauli(2), pauli(3)])
 
 
 @dataclass(frozen=True)
@@ -42,18 +43,13 @@ class MeasurementSettings:
 
 def build_operator(settings: MeasurementSettings) -> np.ndarray:
     """8x8 Hermitian operator A(B+B')C + A(B-B')C' + A'(B-B')C - A'(B+B')C'."""
-    a = observable(settings.a)
-    ap = observable(settings.a_prime)
-    c = observable(settings.c)
-    cp = observable(settings.c_prime)
-    b_plus = observable(settings.b) + observable(settings.b_prime)
-    b_minus = observable(settings.b) - observable(settings.b_prime)
-    return (
-        kron3(a, b_plus, c)
-        + kron3(a, b_minus, cp)
-        + kron3(ap, b_minus, c)
-        - kron3(ap, b_plus, cp)
-    )
+    a, ap, b, bp, c, cp = np.tensordot(settings.as_matrix(), _PAULIS, axes=1)
+    # Entry ((i,k,m), (j,l,n)) of X (x) Y (x) Z is X_ij Y_kl Z_mn, so the four
+    # Kronecker products are one contraction over the stacked factors.
+    first = np.stack([a, a, ap, -ap])
+    second = np.stack([b + bp, b - bp, b - bp, b + bp])
+    third = np.stack([c, cp, c, cp])
+    return np.einsum("tij,tkl,tmn->ikmjln", first, second, third).reshape(8, 8)
 
 
 def svetlichny_value(rho, settings: MeasurementSettings) -> float:
@@ -77,11 +73,3 @@ def bilinear_value(matrix, settings: MeasurementSettings) -> float:
     v = np.kron(s.a, s.c_prime) + np.kron(s.a_prime, s.c)
     return float((s.b + s.b_prime) @ (m @ u) + (s.b - s.b_prime) @ (m @ v))
 
-
-def principal_angle(theta_a: float, theta_c: float) -> float:
-    """Angle in [0, pi] whose cosine is cos(theta_a) cos(theta_c)."""
-    for name, value in (("theta_a", theta_a), ("theta_c", theta_c)):
-        if not 0.0 <= value <= math.pi:
-            raise ValueError(f"{name} must lie in [0, pi], got {value!r}")
-    product = math.cos(theta_a) * math.cos(theta_c)
-    return float(math.acos(max(-1.0, min(1.0, product))))

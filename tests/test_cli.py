@@ -228,6 +228,14 @@ class TestCertify:
             5.656854, abs=1e-5
         )
 
+    def test_certificate_ignores_starts_and_seed(self, capsys):
+        outputs = []
+        for starts, seed in (("6", "0"), ("6", "7"), ("20", "0")):
+            assert main(["certify", *GHZ_FLAGS, "--p", "0.8", "--starts", starts, "--seed", seed]) == 0
+            outputs.append(json.loads(capsys.readouterr().out)["result"])
+        assert outputs[0]["certificate"] is not None
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
     def test_random_dense_fixture_reports_gap(self):
         out = run_json(
             "certify", "--state", str(FIXTURES / "random_dense_state.json"),

@@ -294,6 +294,14 @@ class TestScan:
             assert len(scan(GHZ_COLOR, ps=list(np.linspace(0.0, 1.0, count)))) == count
             assert dict(calls) == {name.split(".")[1]: 1 for name in SCAN_WORK}
 
+    def test_bad_angle_rejected_before_any_analysis(self, monkeypatch):
+        calls = count_calls(monkeypatch, SCAN_WORK)
+        with pytest.raises(ValueError, match=r"theta must lie in \[0, pi/2\]"):
+            scan(GHZ_WHITE, [0.1, 0.2, 0.3, 2.0], [0.1, 0.2, 0.3], [0.5])
+        with pytest.raises(ValueError, match=r"theta3 must lie in \[0, pi/2\]"):
+            scan(GHZ_WHITE, [0.1, 0.2], [0.3, -0.1], [0.5])
+        assert not calls
+
     @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
     def test_bad_weight_rejected_before_any_analysis(self, monkeypatch, bad):
         calls = count_calls(monkeypatch, SCAN_WORK)

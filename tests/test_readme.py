@@ -1,0 +1,14 @@
+"""The README's library example runs against the current API."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_example_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+    assert blocks, "README.md has no python example"
+    for block in blocks:
+        namespace = {}
+        exec(compile(block, str(README), "exec"), namespace)

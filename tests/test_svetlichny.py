@@ -6,7 +6,8 @@ from svetbound import (
     bilinear_value,
     build_operator,
     correlation_tensor,
-    principal_angle,
+    kron3,
+    observable,
     random_settings,
     svetlichny_value,
     unfold,
@@ -41,6 +42,18 @@ class TestBuildOperator:
         x = [1.0, 0.0, 0.0]
         s = MeasurementSettings(x, x, x, x, x, x)
         assert np.max(np.abs(build_operator(s))) < 1e-14
+
+    def test_matches_kronecker_sum(self):
+        gen = rng(309)
+        for _ in range(20):
+            s = settings_from(gen)
+            a, ap, b, bp, c, cp = (
+                observable(v) for v in (s.a, s.a_prime, s.b, s.b_prime, s.c, s.c_prime)
+            )
+            expected = (
+                kron3(a, b + bp, c) + kron3(a, b - bp, cp) + kron3(ap, b - bp, c) - kron3(ap, b + bp, cp)
+            )
+            assert np.max(np.abs(build_operator(s) - expected)) <= 1e-15
 
     def test_hermitian(self):
         gen = rng(301)
@@ -112,27 +125,3 @@ class TestBilinearValue:
         with pytest.raises(ValueError):
             bilinear_value(np.zeros((9, 3)), settings_from(gen))
 
-
-class TestPrincipalAngle:
-    def test_zero(self):
-        assert principal_angle(0.0, 0.0) == pytest.approx(0.0)
-
-    def test_right_angle_absorbs(self):
-        assert principal_angle(np.pi / 2, 1.234) == pytest.approx(np.pi / 2, abs=1e-12)
-
-    def test_derived_value(self):
-        assert principal_angle(np.pi / 3, np.pi / 4) == pytest.approx(
-            1.2094292028881888, abs=1e-12
-        )
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            principal_angle(-0.1, 0.0)
-        with pytest.raises(ValueError):
-            principal_angle(0.0, 3.5)
-
-    def test_stays_in_range(self):
-        gen = rng(309)
-        for _ in range(200):
-            angle = principal_angle(float(gen.random() * np.pi), float(gen.random() * np.pi))
-            assert 0.0 <= angle <= np.pi

@@ -235,10 +235,20 @@ def assert_certified(rho, residual_tol):
 
 
 class TestCertificateRoutes:
-    def test_certifies_without_seesaw(self, monkeypatch):
-        # Degenerate top value, 4*lambda1 = 4.5255: the closed form needs no see-saw.
-        refuse_maximize(monkeypatch)
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_subspace_fallback_when_witness_misses(self, monkeypatch, seed):
+        # Degenerate top value, 4*lambda1 = 4.5255; one start and one sweep
+        # leave the see-saw witness at 3.7-4.5, below the target. The
+        # closed-form subspace certificate attains it without any see-saw.
         rho = realize(FamilySpec(GHZ_WHITE, 0.8, GhzClassParams(np.pi / 4, np.pi / 2)))
+        cfg = OptimizerConfig(starts=1, max_iterations=1, seed=seed)
+        lam1 = singular_spectrum(unfold(correlation_tensor(rho))).lambda1
+        assert maximize(rho, cfg).best_value < 4.0 * lam1 - 1e-6
+        report = quantum_bound(rho, cfg, certify=True)
+        direct = tightness_certificate(rho)
+        assert report.certificate.achieved == direct.achieved
+        assert np.array_equal(report.certificate.settings.as_matrix(), direct.settings.as_matrix())
+        refuse_maximize(monkeypatch)
         assert_certified(rho, 1e-6)
 
     @pytest.mark.parametrize(

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import Certificate, quantum_bound, tightness_certificate
-from .correlation import analyze
+from .correlation import StateAnalysis, analyze
 from .families import (
     BILOCAL_BOUND_LITERATURE,
     BISECTION,
@@ -37,7 +37,7 @@ from .families import (
     scan,
     violation_threshold,
 )
-from .qcore import StateValidationError, validate_density
+from .qcore import StateValidationError
 from .seesaw import OptimizerConfig, SeesawError, maximize
 from .svetlichny import MeasurementSettings
 
@@ -95,7 +95,8 @@ def state_payload(rho) -> dict:
 
 
 def state_from_payload(payload) -> np.ndarray:
-    """Parse and validate a StateFile payload into a density matrix."""
+    """Parse a StateFile payload into a complex 8x8 matrix. Only the schema is
+    checked here; analyze validates the matrix as a density matrix."""
     if not isinstance(payload, dict):
         raise StateFormatError("state file must contain a JSON object")
     if payload.get("dim") != 8:
@@ -110,7 +111,7 @@ def state_from_payload(payload) -> np.ndarray:
         raise StateFormatError(
             f"state file matrix must be 8x8 entries of [re, im] pairs, got shape {arr.shape}"
         )
-    return validate_density(arr[..., 0] + 1j * arr[..., 1])
+    return arr[..., 0] + 1j * arr[..., 1]
 
 
 @contextlib.contextmanager
@@ -137,10 +138,12 @@ def write_state_file(path: str, rho) -> None:
 
 
 def read_state_file(path: str) -> np.ndarray:
+    """Read a state file into a complex 8x8 matrix (see state_from_payload); a
+    file that is not UTF-8 JSON raises StateFormatError."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise StateFormatError(f"state file is not valid JSON: {exc}") from None
     return state_from_payload(payload)
 
@@ -161,6 +164,27 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _int_in(flag: str, lo: int, hi: int):
+    """argparse type for an integer flag in [lo, hi], so a bad value is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"{flag} must be at least {lo}")
+        if value > hi:
+            raise argparse.ArgumentTypeError(f"{flag} must be at most {hi}")
+        return value
+
+    return parse
+
+
+_SEED = _int_in("--seed", 0, 2**64 - 1)
+_STARTS = _int_in("--starts", 1, MAX_STARTS)
 
 
 def _angles(args) -> tuple[float | None, float | None]:
@@ -196,16 +220,17 @@ def _family_params(args, parser: _Parser) -> tuple[GhzClassParams | None, dict]:
     return params, {"family": GHZ_WHITE, "theta": theta, "theta3": theta3}
 
 
-def _resolve_state(args, parser: _Parser):
-    """Returns (rho, digest, family spec or None) from --state or --family flags."""
+def _resolve_state(args, parser: _Parser) -> tuple[StateAnalysis, str]:
+    """The analysed state and its input digest, from --state or --family flags.
+    The state is analysed before the digest is taken, so an invalid matrix fails first."""
     if args.state is not None and args.family is not None:
         parser.error("give either --state or --family, not both")
     if args.state is not None:
         for flag in ("theta", "theta3", "p"):
             if getattr(args, flag) is not None:
                 parser.error(f"--{flag} only applies to --family input")
-        rho = read_state_file(args.state)
-        return rho, _digest(state_payload(rho)), None
+        state = analyze(read_state_file(args.state))
+        return state, _digest(state_payload(state.rho))
     if args.family is None:
         parser.error("a state source is required: --state FILE or --family KIND")
     if args.p is None:
@@ -215,7 +240,7 @@ def _resolve_state(args, parser: _Parser):
         spec = FamilySpec(args.family, args.p, params)
     except ValueError as exc:
         parser.error(str(exc))
-    return realize(spec), _digest({**payload, "p": args.p}), spec
+    return analyze(realize(spec)), _digest({**payload, "p": args.p})
 
 
 def _report(args, digest: str, result: dict) -> dict:
@@ -234,9 +259,9 @@ def _emit(report: dict) -> int:
 
 
 def _cmd_bound(args, parser):
-    rho, digest, _ = _resolve_state(args, parser)
+    state, digest = _resolve_state(args, parser)
     cfg = OptimizerConfig(starts=args.starts, seed=args.seed)
-    report = quantum_bound(rho, cfg, certify=args.certify)
+    report = quantum_bound(state, cfg, certify=args.certify)
     result = {
         "lambda": [report.spectrum.lambda1, report.spectrum.lambda2, report.spectrum.lambda3],
         "q_bound": report.q_bound,
@@ -250,9 +275,9 @@ def _cmd_bound(args, parser):
 
 
 def _cmd_optimize(args, parser):
-    rho, digest, _ = _resolve_state(args, parser)
+    state, digest = _resolve_state(args, parser)
     cfg = OptimizerConfig(starts=args.starts, seed=args.seed, convergence_tol=args.tol)
-    result = maximize(rho, cfg)
+    result = maximize(state, cfg)
     payload = {
         "best_value": result.best_value,
         "best_settings": _settings_payload(result.best_settings),
@@ -328,9 +353,8 @@ def _cmd_scan(args, parser):
 def _cmd_certify(args, parser):
     if not 0.0 < args.tol < math.inf:
         parser.error("--tol must be finite and positive")
-    rho, digest, _ = _resolve_state(args, parser)
+    state, digest = _resolve_state(args, parser)
     cfg = OptimizerConfig(starts=args.starts, seed=args.seed)
-    state = analyze(rho)
     certificate = tightness_certificate(state, args.tol)
     q_bound = state.q_bound
     if certificate is not None:
@@ -342,8 +366,8 @@ def _cmd_certify(args, parser):
 
 
 def _cmd_gme(args, parser):
-    rho, digest, _ = _resolve_state(args, parser)
-    report = gme_lower_bound(rho)
+    state, digest = _resolve_state(args, parser)
+    report = gme_lower_bound(state)
     result = {
         "hs_norm_sq": report.hs_norm_sq,
         "lb_value": report.lb_value,
@@ -369,15 +393,15 @@ def build_parser() -> _Parser:
 
     bound = subs.add_parser("bound", help="singular-value bound 4*lambda1 and classification")
     _add_state_source(bound)
-    bound.add_argument("--starts", type=int, default=50)
-    bound.add_argument("--seed", type=int, default=0)
+    bound.add_argument("--starts", type=_STARTS, default=50)
+    bound.add_argument("--seed", type=_SEED, default=0)
     bound.add_argument("--certify", action="store_true", help="also attach a tightness certificate")
     bound.set_defaults(func=_cmd_bound, parser=bound)
 
     optimize = subs.add_parser("optimize", help="multistart see-saw maximal value")
     _add_state_source(optimize)
-    optimize.add_argument("--starts", type=int, default=50)
-    optimize.add_argument("--seed", type=int, default=0)
+    optimize.add_argument("--starts", type=_STARTS, default=50)
+    optimize.add_argument("--seed", type=_SEED, default=0)
     optimize.add_argument("--tol", type=float, default=1e-10, help="per-sweep convergence tolerance")
     optimize.set_defaults(func=_cmd_optimize, parser=optimize)
 
@@ -387,7 +411,7 @@ def build_parser() -> _Parser:
     threshold.add_argument("--theta3", type=float)
     threshold.add_argument("--degrees", action="store_true")
     threshold.add_argument("--method", choices=["closed-form", "bisection"], default="closed-form")
-    threshold.add_argument("--seed", type=int, default=0)
+    threshold.add_argument("--seed", type=_SEED, default=0)
     threshold.set_defaults(func=_cmd_threshold, parser=threshold)
 
     scan_cmd = subs.add_parser("scan", help="grid scan to CSV")
@@ -397,19 +421,19 @@ def build_parser() -> _Parser:
     scan_cmd.add_argument("--ps", required=True, help="grid: comma list or lo:hi:count")
     scan_cmd.add_argument("--degrees", action="store_true")
     scan_cmd.add_argument("--out", required=True, metavar="FILE", help="CSV output path")
-    scan_cmd.add_argument("--seed", type=int, default=0)
+    scan_cmd.add_argument("--seed", type=_SEED, default=0)
     scan_cmd.set_defaults(func=_cmd_scan, parser=scan_cmd)
 
     certify = subs.add_parser("certify", help="settings attaining 4*lambda1, if any")
     _add_state_source(certify)
     certify.add_argument("--tol", type=float, default=1e-6, help="certificate tolerance")
-    certify.add_argument("--starts", type=int, default=50)
-    certify.add_argument("--seed", type=int, default=0)
+    certify.add_argument("--starts", type=_STARTS, default=50)
+    certify.add_argument("--seed", type=_SEED, default=0)
     certify.set_defaults(func=_cmd_certify, parser=certify)
 
     gme = subs.add_parser("gme", help="entanglement concurrence lower bounds")
     _add_state_source(gme)
-    gme.add_argument("--seed", type=int, default=0)
+    gme.add_argument("--seed", type=_SEED, default=0)
     gme.set_defaults(func=_cmd_gme, parser=gme)
 
     return parser
@@ -419,8 +443,6 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     args.argv = argv
-    if getattr(args, "starts", 0) > MAX_STARTS:
-        args.parser.error(f"--starts must be at most {MAX_STARTS}")
     try:
         return args.func(args, args.parser)
     except StateValidationError as exc:

@@ -16,7 +16,6 @@ import numpy as np
 from .qcore import IMAG_RESIDUE_ATOL, _readonly, kron3, pauli, validate_density
 
 DEGENERACY_RTOL = 1e-7
-_ZERO_SINGULAR_RTOL = 1e-10
 _ROTATION_ATOL = 1e-10
 
 _TRIPLES = np.stack(
@@ -77,55 +76,25 @@ class SingularSpectrum:
         return (self.lambda1, self.lambda2, self.lambda3)
 
 
-def _complete_orthonormal(existing: list[np.ndarray]) -> np.ndarray:
-    # Deterministic completion: Gram-Schmidt of e1, e2, ... against what exists.
-    for idx in range(9):
-        seed = np.zeros(9)
-        seed[idx] = 1.0
-        for vec in existing:
-            seed -= (seed @ vec) * vec
-        norm = float(np.linalg.norm(seed))
-        if norm > 0.3:
-            return seed / norm
-    raise RuntimeError("orthonormal completion failed")  # pragma: no cover
-
-
 def singular_spectrum(matrix) -> SingularSpectrum:
-    """Singular spectrum of the 3x9 unfolding via its 3x3 Gram matrix.
+    """Singular spectrum of the 3x9 unfolding from one LAPACK SVD.
 
-    Eigen-decomposes M M^T (symmetric, 3x3) and back-substitutes right vectors
-    as M^T u / lambda. Directions belonging to vanishing singular values are
-    completed by Gram-Schmidt against the canonical basis so the output is
-    reproducible. No general SVD is involved.
+    right9_1 is the first row of V^T; when the top value is degenerate,
+    right9_2 is the second. The rows of V^T are orthonormal even where the
+    singular values vanish.
     """
     m = np.asarray(matrix, dtype=float)
     if m.shape != (3, 9):
         raise ValueError(f"expected a 3x9 matrix, got shape {m.shape}")
-    eigvals, eigvecs = np.linalg.eigh(m @ m.T)
-    lams = np.sqrt(np.clip(eigvals[::-1], 0.0, None))
-    left = eigvecs[:, ::-1]
+    _, lams, vt = np.linalg.svd(m, full_matrices=False)
     tol = DEGENERACY_RTOL * max(float(lams[0]), 1.0)
     degenerate = bool(lams[0] - lams[1] <= tol)
-    zero_floor = _ZERO_SINGULAR_RTOL * max(float(lams[0]), 1.0)
-
-    rights: list[np.ndarray] = []
-    for idx in range(2 if degenerate else 1):
-        lam = float(lams[idx])
-        if lam > zero_floor:
-            vec = (m.T @ left[:, idx]) / lam
-            for prev in rights:
-                vec = vec - (vec @ prev) * prev
-            vec = vec / float(np.linalg.norm(vec))
-        else:
-            vec = _complete_orthonormal(rights)
-        rights.append(vec)
-
     return SingularSpectrum(
         lambda1=float(lams[0]),
         lambda2=float(lams[1]),
         lambda3=float(lams[2]),
-        right9_1=_readonly(rights[0]),
-        right9_2=_readonly(rights[1]) if degenerate else None,
+        right9_1=_readonly(vt[0]),
+        right9_2=_readonly(vt[1]) if degenerate else None,
         degenerate_top=degenerate,
         degeneracy_tol=tol,
     )
@@ -149,8 +118,9 @@ class StateAnalysis:
 def analyze(rho) -> StateAnalysis:
     """Validate a density matrix and build its tensor, unfolding and spectrum once.
 
-    correlation_tensor does the validation; rho is kept as the read-only complex
-    copy validate_density returns. A StateAnalysis is returned unchanged.
+    This is where every request validates its state: correlation_tensor does the
+    validation, and rho is kept as the read-only complex copy validate_density
+    returns. A StateAnalysis is returned unchanged.
     """
     if isinstance(rho, StateAnalysis):
         return rho

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import StateAnalysis, analyze
-from .qcore import pure_to_density, validate_density
+from .qcore import _readonly, pure_to_density
 from .svetlichny import CLASSICAL_BOUND
 
 GHZ_WHITE = "ghz-white"
@@ -83,7 +83,8 @@ def ghz_state() -> np.ndarray:
 
 
 def realize(spec: FamilySpec) -> np.ndarray:
-    """Density matrix of the family member; always passes validate_density.
+    """Read-only density matrix of the family member. It is not validated here;
+    analyze validates it, as it does every state.
 
     ghz-white: p |psi><psi| + (1-p)/8 I with the GHZ-class pure state.
     ghz-color: p |GHZ><GHZ| + (1-p)/4 I_2 (x) diag(1, 0, 0, 1); the A-party
@@ -97,7 +98,7 @@ def realize(spec: FamilySpec) -> np.ndarray:
         rho = spec.p * pure_to_density(ghz_state())
         noise = np.kron(np.eye(2), np.diag([1.0, 0.0, 0.0, 1.0])).astype(complex)
         rho = rho + (1.0 - spec.p) / 4.0 * noise
-    return validate_density(rho)
+    return _readonly(rho)
 
 
 def analytic_singular_values(params: GhzClassParams, p: float) -> tuple[float, float, float]:

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import StateAnalysis, analyze, fold
-from .qcore import validate_density
+from .correlation import analyze, fold
+# Not called here; kept because bench/trace.py binds svetbound.seesaw.validate_density by name.
+from .qcore import validate_density  # noqa: F401
 from .svetlichny import MeasurementSettings
 
 _MIN_COEFF_NORM = 1e-14
@@ -178,7 +179,7 @@ def seesaw_step(matrix, settings: MeasurementSettings) -> tuple[MeasurementSetti
 def maximize(rho, config: OptimizerConfig | None = None) -> OptimizationResult:
     """Best absolute Svetlichny mean value found by seeded multistart see-saw.
 
-    rho is a density matrix, which is validated and analysed here, or a
+    rho is a density matrix, which analyze validates and decomposes, or a
     StateAnalysis, whose tensor and spectrum are used as they are.
 
     Each start ascends both the + and - sign branches of the mean value from
@@ -199,7 +200,7 @@ def maximize(rho, config: OptimizerConfig | None = None) -> OptimizationResult:
     than 1e-12, or when the result exceeds the singular-value bound
     4 lambda1 + 1e-7; both would mean a numerical failure.
     """
-    state = rho if isinstance(rho, StateAnalysis) else analyze(validate_density(rho))
+    state = analyze(rho)
     cfg = config if config is not None else OptimizerConfig()
     blocks = _blocks(state.tensor)
     rng = np.random.Generator(np.random.PCG64(int(cfg.seed)))

@@ -29,6 +29,7 @@ COUNTED = (
     "correlation.unfold",
     "correlation.singular_spectrum",
     "seesaw.maximize",
+    "svetlichny.svetlichny_value",
 )
 
 
@@ -59,7 +60,8 @@ def _assert_once(counts, seesaws):
     assert counts["unfold"] == 1
     assert counts["singular_spectrum"] == 1
     assert counts["maximize"] == seesaws
-    assert counts["validate_density"] <= 3
+    # One validation by analyze, plus one inside each trace-oracle check.
+    assert counts["validate_density"] == 1 + counts["svetlichny_value"]
 
 
 @pytest.mark.parametrize("make_state, attained", STATES)
@@ -84,6 +86,35 @@ class TestOneAnalysisPerRequest:
         calls.clear()
         assert main(["certify", "--state", str(path), "--starts", "8"]) == 0
         _assert_once(calls, seesaws=0 if attained else 1)
+
+
+GHZ_FLAGS = ["--family", "ghz-white", "--theta", "0.785398", "--theta3", "1.570796"]
+
+
+@pytest.mark.parametrize(
+    "argv, validations",
+    [
+        pytest.param(["optimize", *GHZ_FLAGS, "--p", "1", "--starts", "4"], 1, id="optimize"),
+        # The certificate's trace-oracle check validates the state once more.
+        pytest.param(
+            ["bound", *GHZ_FLAGS, "--p", "0.9", "--certify", "--starts", "4"], 2, id="bound-certify"
+        ),
+        # The p = 1 member, then one member per halving of [0, 1] down to 1e-9.
+        pytest.param(["threshold", *GHZ_FLAGS, "--method", "bisection"], 31, id="threshold-bisection"),
+        # One member per angle pair, 2 x 3 of them.
+        pytest.param(
+            ["scan", "--family", "ghz-white", "--thetas", "0.3,0.5", "--theta3s", "0.1,0.2,0.4",
+             "--ps", "0.1:1:5"],
+            6,
+            id="scan",
+        ),
+    ],
+)
+def test_cli_validates_each_state_once(calls, argv, validations, tmp_path, capsys):
+    if argv[0] == "scan":
+        argv = [*argv, "--out", str(tmp_path / "scan.csv")]
+    assert main(argv) == 0
+    assert calls["validate_density"] == validations
 
 
 class TestAnalyze:

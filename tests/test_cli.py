@@ -18,6 +18,15 @@ from support import random_density, rng
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GHZ_FLAGS = ["--family", "ghz-white", "--theta", "0.785398", "--theta3", "1.570796"]
+# A valid state or family source for each subcommand.
+SOURCE_FLAGS = {
+    "bound": [*GHZ_FLAGS, "--p", "1"],
+    "optimize": [*GHZ_FLAGS, "--p", "1"],
+    "threshold": GHZ_FLAGS,
+    "scan": ["--family", "ghz-color", "--ps", "0.5", "--out", "unused.csv"],
+    "certify": [*GHZ_FLAGS, "--p", "1"],
+    "gme": [*GHZ_FLAGS, "--p", "1"],
+}
 
 
 def run_cli(*args):
@@ -319,6 +328,12 @@ class TestExitCodes:
         path.write_text("{not json")
         assert run_cli("bound", "--state", str(path)).returncode == 2
 
+    def test_non_utf8_state_file(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["bound", "--state", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("svetbound: bad state file: ")
+
     def test_seesaw_check_failure_is_numerical(self, monkeypatch, capsys):
         real = svetbound.correlation.singular_spectrum
         monkeypatch.setattr(
@@ -352,6 +367,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"usage: svetbound {subcommand} ")
         assert "--starts must be at most" in err
+
+    @pytest.mark.parametrize("subcommand", ["bound", "optimize", "certify"])
+    def test_starts_below_one(self, subcommand, monkeypatch, capsys):
+        monkeypatch.setattr(svetbound.cli, "_resolve_state", _no_work)
+        assert exit_code(subcommand, *GHZ_FLAGS, "--p", "1", "--starts", "0") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: svetbound {subcommand} ")
+        assert "--starts must be at least 1" in err
+
+    @pytest.mark.parametrize("subcommand", list(SOURCE_FLAGS))
+    @pytest.mark.parametrize(
+        "seed, message",
+        [("-1", "--seed must be at least 0"), (str(2**64), "--seed must be at most"),
+         ("1.5", "invalid int value: '1.5'")],
+    )
+    def test_bad_seed_is_a_usage_error(self, subcommand, seed, message, monkeypatch, capsys):
+        for name in ("_resolve_state", "violation_threshold", "scan"):
+            monkeypatch.setattr(svetbound.cli, name, _no_work)
+        assert exit_code(subcommand, *SOURCE_FLAGS[subcommand], "--seed", seed) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: svetbound {subcommand} ")
+        assert message in err
+
+    @pytest.mark.parametrize("subcommand", list(SOURCE_FLAGS))
+    def test_seed_range_ends_are_accepted(self, subcommand):
+        parser = svetbound.cli.build_parser()
+        for seed in (0, 2**64 - 1):
+            args = parser.parse_args([subcommand, *SOURCE_FLAGS[subcommand], "--seed", str(seed)])
+            assert args.seed == seed
 
     def test_subcommand_error_prints_the_subcommand_usage(self, capsys):
         assert exit_code("threshold", "--family", "ghz-white") == 1

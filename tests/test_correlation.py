@@ -7,7 +7,9 @@ from svetbound import (
     GhzClassParams,
     correlation_tensor,
     fold,
+    kron3,
     local_rotate,
+    pauli,
     pure_to_density,
     realize,
     singular_spectrum,
@@ -93,7 +95,7 @@ class TestSingularSpectrum:
         spec = singular_spectrum(np.zeros((3, 9)))
         assert spec.values == (0.0, 0.0, 0.0)
         assert spec.degenerate_top
-        # Completed vectors are still orthonormal.
+        # The SVD's right vectors stay orthonormal where the singular values vanish.
         assert np.linalg.norm(spec.right9_1) == pytest.approx(1.0, abs=1e-12)
         assert abs(spec.right9_1 @ spec.right9_2) < 1e-12
 
@@ -135,6 +137,19 @@ class TestSingularSpectrum:
             assert np.allclose(m.T @ (m @ r1), spec.lambda1**2 * r1, atol=1e-9)
             if not spec.degenerate_top:
                 assert spec.right9_2 is None
+
+    def test_product_states_are_rank_one_to_rounding(self):
+        # A product state's unfolding is r_B (r_A (x) r_C)^T. Forming M M^T would
+        # square its condition number and leave lambda2 near 1e-8.
+        gen = rng(209)
+        for _ in range(50):
+            rs = [v / np.linalg.norm(v) for v in gen.standard_normal((3, 3))]
+            rho = kron3(*[(np.eye(2) + sum(r[k] * pauli(k + 1) for k in range(3))) / 2 for r in rs])
+            spec = singular_spectrum(unfold(correlation_tensor(rho)))
+            assert spec.lambda2 <= 1e-12 and spec.lambda3 <= 1e-12
+            assert spec.right9_2 is None
+            assert abs(np.linalg.norm(spec.right9_1) - 1.0) <= 1e-12
+            assert abs(abs(spec.right9_1 @ np.kron(rs[0], rs[2])) - 1.0) <= 1e-12
 
     def test_top_pair_orthonormal_when_degenerate(self):
         spec = singular_spectrum(unfold(correlation_tensor(GHZ)))

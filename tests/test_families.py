@@ -27,8 +27,10 @@ from support import count_calls
 
 GHZ_PARAMS = GhzClassParams(np.pi / 4, np.pi / 2)
 
-# The per-angle-pair work of a scan: one realized member and one analysis of it.
+# The per-angle-pair work of a scan: one realized member and one analysis, which
+# is also its one validation.
 SCAN_WORK = (
+    "qcore.validate_density",
     "correlation.analyze",
     "correlation.correlation_tensor",
     "correlation.singular_spectrum",

@@ -46,7 +46,7 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-#: Largest --starts value accepted; maximize draws every start in a Python loop.
+#: Largest --starts value accepted; maximize holds every start's settings in memory at once.
 MAX_STARTS = 10_000
 #: Largest number of rows a scan may produce; a lo:hi:count grid is checked before it is built.
 MAX_SCAN_ROWS = 1_000_000

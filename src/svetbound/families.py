@@ -126,7 +126,7 @@ class ThresholdReport:
 
 
 def _analyze_member(kind: str, p: float, params: GhzClassParams | None) -> StateAnalysis:
-    return analyze(realize(FamilySpec(kind, p, params if kind == GHZ_WHITE else None)))
+    return analyze(realize(FamilySpec(kind, p, params)))
 
 
 def violation_threshold(
@@ -223,23 +223,21 @@ def scan(
         if not thetas or not theta3s:
             raise ValueError("theta and theta3 grids must be nonempty")
         # Every angle pair is checked here, before any member is analysed.
-        pairs = [GhzClassParams(t, t3) for t in thetas for t3 in theta3s]
+        pairs = [(t, t3, GhzClassParams(t, t3)) for t in thetas for t3 in theta3s]
     elif kind == GHZ_COLOR:
         if thetas or theta3s:
             raise ValueError("ghz-color takes no angle grids")
-        pairs = [GhzClassParams(math.pi / 4.0, _HALF_PI)]
+        pairs = [(math.pi / 4.0, _HALF_PI, None)]
     else:
         raise ValueError(f"unknown family kind {kind!r}")
 
     rows = []
-    for params in pairs:
+    for theta, theta3, params in pairs:
         state = _analyze_member(kind, 1.0, params)
         lambda1, norm = state.spectrum.lambda1, _unfolding_norm(state)[1]
         for p in ps:
             lambda1_p = p * lambda1
             q_bound = 4.0 * lambda1_p
             violates = q_bound > CLASSICAL_BOUND
-            rows.append(
-                ScanRow(params.theta, params.theta3, p, lambda1_p, q_bound, violates, p * norm - 0.5)
-            )
+            rows.append(ScanRow(theta, theta3, p, lambda1_p, q_bound, violates, p * norm - 0.5))
     return rows

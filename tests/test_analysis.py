@@ -95,9 +95,10 @@ GHZ_FLAGS = ["--family", "ghz-white", "--theta", "0.785398", "--theta3", "1.5707
     "argv, validations",
     [
         pytest.param(["optimize", *GHZ_FLAGS, "--p", "1", "--starts", "4"], 1, id="optimize"),
-        # The certificate's trace-oracle check validates the state once more.
+        # The trace-oracle checks of the see-saw witness and of the certificate
+        # validate the state once more each.
         pytest.param(
-            ["bound", *GHZ_FLAGS, "--p", "0.9", "--certify", "--starts", "4"], 2, id="bound-certify"
+            ["bound", *GHZ_FLAGS, "--p", "0.9", "--certify", "--starts", "4"], 3, id="bound-certify"
         ),
         # The p = 1 member, then one member per halving of [0, 1] down to 1e-9.
         pytest.param(["threshold", *GHZ_FLAGS, "--method", "bisection"], 31, id="threshold-bisection"),

@@ -10,6 +10,8 @@ from svetbound import (
     GHZ_COLOR,
     GHZ_WHITE,
     GhzClassParams,
+    MeasurementSettings,
+    OptimizationResult,
     OptimizerConfig,
     correlation_tensor,
     ghz_state,
@@ -73,6 +75,18 @@ class TestQuantumBound:
         assert report.q_bound == pytest.approx(4.0 * np.sqrt(1.5), abs=1e-9)
         assert report.classification == INCONCLUSIVE
         assert report.optimizer_value <= 4.0 + 1e-9
+
+    def test_violation_needs_trace_checked_witness(self, monkeypatch):
+        # Settings all along z give GHZ a trace value of 0, whatever the see-saw claims.
+        z = np.array([0.0, 0.0, 1.0])
+        settings = MeasurementSettings(z, z, z, z, z, z)
+        rho = pure_to_density(ghz_state())
+        assert svetlichny_value(rho, settings) < 4.0
+        claimed = OptimizationResult(4.5, settings, 1, True, (4.5,))
+        monkeypatch.setattr(svetbound.bounds, "maximize", lambda *args: claimed)
+        report = quantum_bound(rho, CFG)
+        assert report.classification == INCONCLUSIVE
+        assert report.optimizer_value == 4.5
 
     def test_q_bound_is_four_lambda1(self):
         gen = rng(500)

@@ -188,6 +188,13 @@ class TestViolationThreshold:
         violation_threshold(GHZ_COLOR, method=BISECTION)
         assert dict(calls) == {name.split(".")[1]: 31 for name in SCAN_WORK}
 
+    @pytest.mark.parametrize("method", [CLOSED_FORM, BISECTION])
+    def test_ghz_color_rejects_angles(self, monkeypatch, method):
+        calls = count_calls(monkeypatch, ["correlation.analyze"])
+        with pytest.raises(ValueError, match="ghz-color takes no angle parameters"):
+            violation_threshold(GHZ_COLOR, GhzClassParams(0.1, 0.2), method=method)
+        assert calls["analyze"] == 0
+
     def test_threshold_sits_on_boundary(self):
         report = violation_threshold(GHZ_WHITE, GHZ_PARAMS)
         rho = realize(FamilySpec(GHZ_WHITE, report.p_star, GHZ_PARAMS))
@@ -242,7 +249,7 @@ class TestScan:
     def test_single_point(self):
         rows = scan(GHZ_COLOR, ps=[0.5])
         assert len(rows) == 1
-        assert rows[0].theta == pytest.approx(np.pi / 4)
+        assert (rows[0].theta, rows[0].theta3) == (np.pi / 4, np.pi / 2)
         assert rows[0].q_bound == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-9)
 
     def test_row_ordering(self):

@@ -76,6 +76,19 @@ class TestRandomSettings:
         b = random_settings(rng(42)).as_matrix()
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("starts", [1, 7, 2000])
+    def test_stream_layout_matches_per_vector_draw(self, starts):
+        # The reference: per start a, a', b, b', c, c', each three standard
+        # normals divided by np.linalg.norm; the batched draw must match bit for bit.
+        gen = rng(404)
+        expected = np.empty((starts, 6, 3))
+        for start in range(starts):
+            for idx in range(6):
+                vec = gen.standard_normal(3)
+                expected[start, idx] = vec / np.linalg.norm(vec)
+        assert np.array_equal(svetbound.seesaw._draw_directions(rng(404), starts), expected)
+        assert np.array_equal(random_settings(rng(404)).as_matrix(), expected[0])
+
     def test_unit_vectors(self):
         gen = rng(401)
         for _ in range(200):

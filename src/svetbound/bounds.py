@@ -92,7 +92,7 @@ def quantum_bound(
     else:
         result = maximize(state, config)
         optimizer_value = result.best_value
-        if abs(svetlichny_value(state.rho, result.best_settings)) > CLASSICAL_BOUND + VIOLATION_MARGIN:
+        if abs(svetlichny_value(state, result.best_settings)) > CLASSICAL_BOUND + VIOLATION_MARGIN:
             classification = CERTIFIED_VIOLATION
         else:
             classification = INCONCLUSIVE
@@ -126,7 +126,7 @@ def tightness_certificate(rho, tol: float = DEFAULT_CERTIFICATE_TOL) -> Certific
     settings = _rank_one_settings(state)
     if settings is None:
         return None
-    achieved = svetlichny_value(state.rho, settings)
+    achieved = svetlichny_value(state, settings)
     if abs(achieved) < state.q_bound - tol:
         return None
     return Certificate(settings, achieved, state.q_bound - abs(achieved))

@@ -183,6 +183,17 @@ def _int_in(flag: str, lo: int, hi: int):
     return parse
 
 
+def _tol(text: str) -> float:
+    """argparse type for --tol, a finite positive float, so a bad value is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError("--tol must be finite and positive")
+    return value
+
+
 _SEED = _int_in("--seed", 0, 2**64 - 1)
 _STARTS = _int_in("--starts", 1, MAX_STARTS)
 
@@ -351,8 +362,6 @@ def _cmd_scan(args, parser):
 
 
 def _cmd_certify(args, parser):
-    if not 0.0 < args.tol < math.inf:
-        parser.error("--tol must be finite and positive")
     state, digest = _resolve_state(args, parser)
     cfg = OptimizerConfig(starts=args.starts, seed=args.seed)
     certificate = tightness_certificate(state, args.tol)
@@ -402,7 +411,7 @@ def build_parser() -> _Parser:
     _add_state_source(optimize)
     optimize.add_argument("--starts", type=_STARTS, default=50)
     optimize.add_argument("--seed", type=_SEED, default=0)
-    optimize.add_argument("--tol", type=float, default=1e-10, help="per-sweep convergence tolerance")
+    optimize.add_argument("--tol", type=_tol, default=1e-10, help="per-sweep convergence tolerance")
     optimize.set_defaults(func=_cmd_optimize, parser=optimize)
 
     threshold = subs.add_parser("threshold", help="critical mixing weight p*")
@@ -426,7 +435,7 @@ def build_parser() -> _Parser:
 
     certify = subs.add_parser("certify", help="settings attaining 4*lambda1, if any")
     _add_state_source(certify)
-    certify.add_argument("--tol", type=float, default=1e-6, help="certificate tolerance")
+    certify.add_argument("--tol", type=_tol, default=1e-6, help="certificate tolerance")
     certify.add_argument("--starts", type=_STARTS, default=50)
     certify.add_argument("--seed", type=_SEED, default=0)
     certify.set_defaults(func=_cmd_certify, parser=certify)

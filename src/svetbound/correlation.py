@@ -16,7 +16,6 @@ import numpy as np
 from .qcore import IMAG_RESIDUE_ATOL, _readonly, kron3, pauli, validate_density
 
 DEGENERACY_RTOL = 1e-7
-_ROTATION_ATOL = 1e-10
 
 _TRIPLES = np.stack(
     [kron3(pauli(i), pauli(j), pauli(k)) for i in (1, 2, 3) for j in (1, 2, 3) for k in (1, 2, 3)]
@@ -44,14 +43,6 @@ def unfold(tensor) -> np.ndarray:
     if t.shape != (3, 3, 3):
         raise ValueError(f"expected a (3, 3, 3) tensor, got shape {t.shape}")
     return _readonly(t.transpose(1, 0, 2).reshape(3, 9))
-
-
-def fold(matrix) -> np.ndarray:
-    """Inverse of unfold: rebuild the (3, 3, 3) tensor from the 3x9 matrix."""
-    m = np.asarray(matrix, dtype=float)
-    if m.shape != (3, 9):
-        raise ValueError(f"expected a 3x9 matrix, got shape {m.shape}")
-    return _readonly(m.reshape(3, 3, 3).transpose(1, 0, 2))
 
 
 @dataclass(frozen=True)
@@ -129,20 +120,3 @@ def analyze(rho) -> StateAnalysis:
     rho = _readonly(np.asarray(rho, dtype=complex))
     return StateAnalysis(rho, tensor, matrix, singular_spectrum(matrix))
 
-
-def local_rotate(tensor, rot_a, rot_b, rot_c) -> np.ndarray:
-    """Contract one proper rotation into each party index of the tensor."""
-    t = np.asarray(tensor, dtype=float)
-    if t.shape != (3, 3, 3):
-        raise ValueError(f"expected a (3, 3, 3) tensor, got shape {t.shape}")
-    mats = []
-    for r in (rot_a, rot_b, rot_c):
-        r = np.asarray(r, dtype=float)
-        if r.shape != (3, 3):
-            raise ValueError(f"expected a 3x3 rotation, got shape {r.shape}")
-        if float(np.max(np.abs(r @ r.T - np.eye(3)))) > _ROTATION_ATOL:
-            raise ValueError("rotation matrix is not orthogonal")
-        if abs(float(np.linalg.det(r)) - 1.0) > _ROTATION_ATOL:
-            raise ValueError("rotation matrix must have determinant +1")
-        mats.append(r)
-    return _readonly(np.einsum("il,jm,kn,lmn->ijk", mats[0], mats[1], mats[2], t))

@@ -54,12 +54,6 @@ def unit_vector(v) -> np.ndarray:
     return _readonly(arr)
 
 
-def observable(g) -> np.ndarray:
-    """Spin observable g . sigma for a unit direction g: Hermitian, eigenvalues +-1."""
-    g = unit_vector(g)
-    return _readonly(g[0] * _PAULI[0] + g[1] * _PAULI[1] + g[2] * _PAULI[2])
-
-
 def kron3(a, b, c) -> np.ndarray:
     """Kronecker product A (x) B (x) C of 2x2 factors, party A slowest-varying."""
     mats = []

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import analyze, fold
+from .correlation import analyze
 # Not called here; kept because bench/trace.py binds svetbound.seesaw.validate_density by name.
 from .qcore import validate_density  # noqa: F401
 from .svetlichny import MeasurementSettings
@@ -44,13 +44,15 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(isinstance(v, (int, np.integer)) for v in (self.starts, self.max_iterations, self.seed)):
+            raise ValueError("starts, max_iterations and seed must be integers")
         if self.starts < 1:
             raise ValueError("starts must be at least 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if not 0.0 < self.convergence_tol < np.inf:
             raise ValueError("convergence_tol must be finite and positive")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
@@ -67,11 +69,6 @@ class OptimizationResult:
     iterations_used: int
     converged: bool
     per_start_values: tuple[float, ...]
-
-
-def random_settings(rng: np.random.Generator) -> MeasurementSettings:
-    """Six directions drawn independently and uniformly on the unit sphere."""
-    return MeasurementSettings.from_matrix(_draw_directions(rng, 1)[0])
 
 
 def _draw_directions(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -159,18 +156,6 @@ def _block_sweep(blocks, p: np.ndarray, active: np.ndarray) -> tuple[np.ndarray,
     z = _contract(alpha, _beta(x), blocks[2])
     _renorm_pair(p, 2, z, active)
     return p, _mean_values(x, z)
-
-
-def seesaw_step(matrix, settings: MeasurementSettings) -> tuple[MeasurementSettings, float]:
-    """One ascent sweep over (a, a', b, b', c, c') against a 3x9 unfolding.
-
-    Coefficient vectors with norm below 1e-14 leave their direction unchanged
-    for the sweep. Returns the updated settings and the new objective value.
-    """
-    blocks = _blocks(np.asarray(fold(matrix)))
-    pairs = _to_pairs(settings.as_matrix()[None])
-    updated, value = _block_sweep(blocks, pairs, np.ones(1, dtype=bool))
-    return MeasurementSettings.from_matrix(_from_pairs(updated)[0]), float(value[0])
 
 
 def maximize(rho, config: OptimizerConfig | None = None) -> OptimizationResult:

@@ -6,6 +6,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .correlation import StateAnalysis
 from .qcore import expectation, pauli, unit_vector, validate_density
 
 #: Mean-value bound satisfied by every hybrid local-nonlocal (bi-LHV) model.
@@ -53,8 +54,12 @@ def build_operator(settings: MeasurementSettings) -> np.ndarray:
 
 
 def svetlichny_value(rho, settings: MeasurementSettings) -> float:
-    """Mean value tr(S rho) of the Svetlichny operator for the given settings."""
-    rho = validate_density(rho)
+    """Mean value tr(S rho) of the Svetlichny operator for the given settings.
+
+    rho is a density matrix, validated here, or a StateAnalysis, whose validated
+    rho is used as it is; the trace never reads the tensor, so it stays an oracle.
+    """
+    rho = rho.rho if isinstance(rho, StateAnalysis) else validate_density(rho)
     return expectation(rho, build_operator(settings))
 
 

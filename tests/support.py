@@ -1,9 +1,16 @@
-"""Shared helpers for the test suite: seeded random states, rotations, fixtures."""
+"""Shared helpers for the test suite: seeded random states and settings, reference
+observables, call counters.
+
+pytest does not rewrite assert statements in this module, so python -O would
+strip them; helpers here raise instead (test_support_holds_no_assert).
+"""
 
 import collections
 import sys
 
 import numpy as np
+
+from svetbound import MeasurementSettings, pauli, unit_vector
 
 GHZ_OPTIMUM = 4.0 * np.sqrt(2.0)
 
@@ -32,6 +39,18 @@ def rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def random_settings(gen):
+    """Six directions a, a', b, b', c, c', each three standard normals divided by
+    their np.linalg.norm: the per-start stream layout that maximize draws."""
+    return MeasurementSettings.from_matrix([v / np.linalg.norm(v) for v in gen.standard_normal((6, 3))])
+
+
+def observable(g):
+    """Spin observable g . sigma for a unit direction g: the reference for build_operator."""
+    g = unit_vector(g)
+    return g[0] * pauli(1) + g[1] * pauli(2) + g[2] * pauli(3)
+
+
 def random_pure(gen):
     vec = gen.standard_normal(8) + 1j * gen.standard_normal(8)
     return vec / np.linalg.norm(vec)
@@ -53,14 +72,6 @@ def w_density():
     w = np.zeros(8, dtype=complex)
     w[1] = w[2] = w[4] = 1.0 / np.sqrt(3.0)
     return np.outer(w, w.conj())
-
-
-def random_rotation(gen):
-    q, r = np.linalg.qr(gen.standard_normal((3, 3)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
 
 
 def random_qubit_unitary(gen):

@@ -27,7 +27,6 @@ from svetbound import (
     maximize,
     pure_to_density,
     quantum_bound,
-    random_settings,
     realize,
     singular_spectrum,
     svetlichny_value,
@@ -36,7 +35,7 @@ from svetbound import (
 )
 from svetbound.cli import read_state_file, write_state_file
 
-from support import biseparable_state, random_density, rng
+from support import biseparable_state, random_density, random_settings, rng
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GHZ_OPT = 4.0 * np.sqrt(2.0)

@@ -17,7 +17,7 @@ from svetbound import (
     validate_density,
 )
 from svetbound.cli import main, write_state_file
-from svetbound.correlation import StateAnalysis, analyze
+from svetbound.correlation import analyze
 
 from support import count_calls, random_density, rng
 
@@ -60,8 +60,8 @@ def _assert_once(counts, seesaws):
     assert counts["unfold"] == 1
     assert counts["singular_spectrum"] == 1
     assert counts["maximize"] == seesaws
-    # One validation by analyze, plus one inside each trace-oracle check.
-    assert counts["validate_density"] == 1 + counts["svetlichny_value"]
+    # analyze validates; the trace-oracle checks reuse its validated rho.
+    assert counts["validate_density"] == 1
 
 
 @pytest.mark.parametrize("make_state, attained", STATES)
@@ -96,9 +96,9 @@ GHZ_FLAGS = ["--family", "ghz-white", "--theta", "0.785398", "--theta3", "1.5707
     [
         pytest.param(["optimize", *GHZ_FLAGS, "--p", "1", "--starts", "4"], 1, id="optimize"),
         # The trace-oracle checks of the see-saw witness and of the certificate
-        # validate the state once more each.
+        # reuse the analysed state.
         pytest.param(
-            ["bound", *GHZ_FLAGS, "--p", "0.9", "--certify", "--starts", "4"], 3, id="bound-certify"
+            ["bound", *GHZ_FLAGS, "--p", "0.9", "--certify", "--starts", "4"], 1, id="bound-certify"
         ),
         # The p = 1 member, then one member per halving of [0, 1] down to 1e-9.
         pytest.param(["threshold", *GHZ_FLAGS, "--method", "bisection"], 31, id="threshold-bisection"),

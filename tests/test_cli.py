@@ -349,15 +349,20 @@ class TestExitCodes:
         assert exit_code("certify", *GHZ_FLAGS, "--p", "1", "--starts", "2", "--tol", tol) == 1
         assert exit_code("optimize", *GHZ_FLAGS, "--p", "1", "--starts", "2", "--tol", tol) == 1
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_bad_tol_checked_before_the_state_is_read(self, tol, tmp_path, capsys):
         # The state alone would exit 2; the tolerance is a usage error found first.
         bad = np.zeros((8, 8), dtype=complex)
         bad[0, 0] = 2.0
         path = tmp_path / "bad.json"
         write_state_file(path, bad)
-        assert exit_code("certify", "--state", str(path)) == 2
-        assert exit_code("certify", "--state", str(path), "--tol", tol) == 1
+        for subcommand in ("certify", "optimize"):
+            assert exit_code(subcommand, "--state", str(path)) == 2
+            capsys.readouterr()
+            assert exit_code(subcommand, "--state", str(path), "--tol", tol) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"usage: svetbound {subcommand} ")
+            assert "--tol must be finite and positive" in err
 
     @pytest.mark.parametrize("subcommand", ["bound", "optimize", "certify"])
     def test_starts_above_cap(self, subcommand, monkeypatch, capsys):

@@ -6,9 +6,7 @@ from svetbound import (
     GHZ_WHITE,
     GhzClassParams,
     correlation_tensor,
-    fold,
     kron3,
-    local_rotate,
     pauli,
     pure_to_density,
     realize,
@@ -16,7 +14,7 @@ from svetbound import (
     unfold,
 )
 
-from support import random_density, random_rotation, rng
+from support import random_density, random_qubit_unitary, rng
 
 
 GHZ = pure_to_density(
@@ -70,16 +68,17 @@ class TestUnfold:
         assert np.array_equal(unfold(np.zeros((3, 3, 3))), np.zeros((3, 9)))
 
     def test_fold_inverts_unfold(self):
+        # Folding back (rows on B, columns (A, C) with A major) recovers every entry.
         gen = rng(203)
         for _ in range(50):
             t = gen.standard_normal((3, 3, 3))
-            assert np.array_equal(fold(unfold(t)), t)
+            assert np.array_equal(unfold(t).reshape(3, 3, 3).transpose(1, 0, 2), t)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             unfold(np.zeros((3, 3)))
         with pytest.raises(ValueError):
-            fold(np.zeros((9, 3)))
+            unfold(np.zeros((3, 9)))
 
 
 class TestSingularSpectrum:
@@ -178,29 +177,13 @@ class TestBilinearSingularBound:
 
 
 class TestLocalRotate:
-    def test_identity_rotations(self):
-        t = correlation_tensor(GHZ)
-        eye = np.eye(3)
-        assert np.allclose(local_rotate(t, eye, eye, eye), t, atol=1e-15)
-
-    def test_zero_tensor(self):
-        gen = rng(209)
-        rots = [random_rotation(gen) for _ in range(3)]
-        assert np.max(np.abs(local_rotate(np.zeros((3, 3, 3)), *rots))) == 0.0
-
-    def test_rejects_non_orthogonal(self):
-        t = np.zeros((3, 3, 3))
-        with pytest.raises(ValueError):
-            local_rotate(t, np.eye(3) * 2.0, np.eye(3), np.eye(3))
-        reflection = np.diag([1.0, 1.0, -1.0])
-        with pytest.raises(ValueError):
-            local_rotate(t, reflection, np.eye(3), np.eye(3))
-
     def test_spectrum_invariant(self):
+        # A local unitary rotates its party's index of the tensor, which leaves
+        # the singular values of the unfolding unchanged.
         gen = rng(210)
         for _ in range(100):
-            t = correlation_tensor(random_density(gen))
-            rotated = local_rotate(t, random_rotation(gen), random_rotation(gen), random_rotation(gen))
-            before = singular_spectrum(unfold(t)).values
-            after = singular_spectrum(unfold(rotated)).values
+            rho = random_density(gen)
+            u = kron3(*(random_qubit_unitary(gen) for _ in range(3)))
+            before = singular_spectrum(unfold(correlation_tensor(rho))).values
+            after = singular_spectrum(unfold(correlation_tensor(u @ rho @ u.conj().T))).values
             assert np.allclose(before, after, atol=1e-9)

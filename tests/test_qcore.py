@@ -5,7 +5,6 @@ from svetbound import (
     StateValidationError,
     expectation,
     kron3,
-    observable,
     pauli,
     pure_to_density,
     unit_vector,
@@ -13,7 +12,7 @@ from svetbound import (
 )
 from svetbound.qcore import NOT_HERMITIAN, NOT_POSITIVE_SEMIDEFINITE, TRACE_NOT_ONE
 
-from support import random_pure, rng
+from support import observable, random_pure, rng
 
 
 def ghz_vector():
@@ -46,6 +45,8 @@ class TestPauli:
 
 
 class TestObservable:
+    """The reference observable g . sigma that build_operator is compared against."""
+
     def test_z_axis(self):
         assert np.allclose(observable([0, 0, 1]), np.diag([1.0, -1.0]), atol=1e-15)
 

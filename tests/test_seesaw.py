@@ -10,6 +10,7 @@ from svetbound import (
     FamilySpec,
     GHZ_WHITE,
     GhzClassParams,
+    MeasurementSettings,
     OptimizerConfig,
     SeesawError,
     bilinear_value,
@@ -17,15 +18,14 @@ from svetbound import (
     ghz_state,
     maximize,
     pure_to_density,
-    random_settings,
     realize,
-    seesaw_step,
     singular_spectrum,
     svetlichny_value,
     unfold,
 )
+from svetbound.seesaw import _draw_directions
 
-from support import GHZ_OPTIMUM, random_density, rng, w_density
+from support import GHZ_OPTIMUM, random_density, random_settings, rng, w_density
 
 # Frozen see-saw oracle value for the W state, recorded from a 50-start run;
 # seed-to-seed spread is below 1e-12.
@@ -63,18 +63,37 @@ class TestOptimizerConfig:
             dict(seed=-1),
             dict(convergence_tol=float("nan")),
             dict(convergence_tol=float("inf")),
+            dict(starts=2.5),
+            dict(max_iterations=2.5),
+            dict(seed=1.5),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             OptimizerConfig(**kwargs)
 
+    def test_accepts_numpy_integers(self):
+        cfg = OptimizerConfig(starts=np.int32(2), max_iterations=np.int64(3), seed=np.uint64(2**64 - 1))
+        result = maximize(np.eye(8) / 8.0, cfg)
+        assert len(result.per_start_values) == 2
+
+
+def _sweep(blocks, settings):
+    # One see-saw sweep of a single start; returns the new settings and value.
+    pairs = svetbound.seesaw._to_pairs(settings.as_matrix()[None])
+    updated, values = svetbound.seesaw._block_sweep(blocks, pairs, np.ones(1, dtype=bool))
+    return MeasurementSettings.from_matrix(svetbound.seesaw._from_pairs(updated)[0]), float(values[0])
+
+
+def _ghz_blocks():
+    return svetbound.seesaw._blocks(correlation_tensor(pure_to_density(ghz_state())))
+
 
 class TestRandomSettings:
+    """The seeded draw of start settings that maximize makes."""
+
     def test_seeded_reproducibility(self):
-        a = random_settings(rng(42)).as_matrix()
-        b = random_settings(rng(42)).as_matrix()
-        assert np.array_equal(a, b)
+        assert np.array_equal(_draw_directions(rng(42), 3), _draw_directions(rng(42), 3))
 
     @pytest.mark.parametrize("starts", [1, 7, 2000])
     def test_stream_layout_matches_per_vector_draw(self, starts):
@@ -86,58 +105,55 @@ class TestRandomSettings:
             for idx in range(6):
                 vec = gen.standard_normal(3)
                 expected[start, idx] = vec / np.linalg.norm(vec)
-        assert np.array_equal(svetbound.seesaw._draw_directions(rng(404), starts), expected)
+        assert np.array_equal(_draw_directions(rng(404), starts), expected)
         assert np.array_equal(random_settings(rng(404)).as_matrix(), expected[0])
 
     def test_unit_vectors(self):
-        gen = rng(401)
-        for _ in range(200):
-            m = random_settings(gen).as_matrix()
-            assert np.max(np.abs(np.linalg.norm(m, axis=1) - 1.0)) <= 1e-12
+        m = _draw_directions(rng(401), 200)
+        assert np.max(np.abs(np.linalg.norm(m, axis=-1) - 1.0)) <= 1e-12
 
     def test_sphere_uniformity(self):
-        gen = rng(402)
-        draws = np.stack([random_settings(gen).as_matrix() for _ in range(10_000)])
-        means = draws.mean(axis=0)  # (6, 3) per-vector component means
+        means = _draw_directions(rng(402), 10_000).mean(axis=0)  # (6, 3) per-vector component means
         assert np.max(np.abs(means)) < 0.05
 
 
 class TestSeesawStep:
     def test_zero_matrix_fixed(self):
-        gen = rng(403)
-        s = random_settings(gen)
-        updated, value = seesaw_step(np.zeros((3, 9)), s)
-        assert value == 0.0
-        assert np.array_equal(updated.as_matrix(), s.as_matrix())
+        # I/8 has a zero tensor: every coefficient vanishes, so one sweep keeps
+        # the first drawn start exactly.
+        result = maximize(np.eye(8) / 8.0, OptimizerConfig(starts=1, seed=403, max_iterations=1))
+        assert result.best_value == 0.0
+        expected = _draw_directions(rng(403), 1)[0]
+        assert np.array_equal(result.best_settings.as_matrix(), expected)
 
     def test_optimal_settings_are_fixed_point(self):
         ghz = pure_to_density(ghz_state())
         result = maximize(ghz, OptimizerConfig(starts=8, seed=5, convergence_tol=1e-14))
-        m = unfold(correlation_tensor(ghz))
-        _, value = seesaw_step(m, result.best_settings)
+        _, value = _sweep(_ghz_blocks(), result.best_settings)
         assert value == pytest.approx(result.best_value, abs=1e-12)
 
     def test_monotone_from_random_start(self):
-        ghz = pure_to_density(ghz_state())
-        m = unfold(correlation_tensor(ghz))
-        gen = rng(404)
-        s = random_settings(gen)
+        blocks = _ghz_blocks()
+        s = random_settings(rng(404))
         previous = -np.inf
         for _ in range(30):
-            s, value = seesaw_step(m, s)
+            s, value = _sweep(blocks, s)
             assert value >= previous - 1e-12
             previous = value
 
 
 class TestBlockKernel:
     def test_sweep_value_matches_trace_and_bilinear_forms(self):
+        # One sweep from one start: the kernel's value against the trace oracle.
         gen = rng(406)
-        for _ in range(20):
+        for seed in range(20):
             rho = random_density(gen)
-            m = unfold(correlation_tensor(rho))
-            updated, value = seesaw_step(m, random_settings(gen))
-            assert value == pytest.approx(svetlichny_value(rho, updated), abs=1e-12)
-            assert value == pytest.approx(bilinear_value(m, updated), abs=1e-12)
+            result = maximize(rho, OptimizerConfig(starts=1, seed=seed, max_iterations=1))
+            updated = result.best_settings
+            assert result.best_value == pytest.approx(svetlichny_value(rho, updated), abs=1e-12)
+            assert result.best_value == pytest.approx(
+                bilinear_value(unfold(correlation_tensor(rho)), updated), abs=1e-12
+            )
 
     def test_batched_values_match_trace_form(self):
         gen = rng(407)

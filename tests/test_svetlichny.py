@@ -7,17 +7,11 @@ from svetbound import (
     build_operator,
     correlation_tensor,
     kron3,
-    observable,
-    random_settings,
     svetlichny_value,
     unfold,
 )
 
-from support import random_density, rng
-
-
-def settings_from(gen):
-    return random_settings(gen)
+from support import observable, random_density, random_settings, rng
 
 
 class TestMeasurementSettings:
@@ -32,7 +26,7 @@ class TestMeasurementSettings:
 
     def test_matrix_roundtrip(self):
         gen = rng(300)
-        s = settings_from(gen)
+        s = random_settings(gen)
         again = MeasurementSettings.from_matrix(s.as_matrix())
         assert np.array_equal(again.as_matrix(), s.as_matrix())
 
@@ -46,7 +40,7 @@ class TestBuildOperator:
     def test_matches_kronecker_sum(self):
         gen = rng(309)
         for _ in range(20):
-            s = settings_from(gen)
+            s = random_settings(gen)
             a, ap, b, bp, c, cp = (
                 observable(v) for v in (s.a, s.a_prime, s.b, s.b_prime, s.c, s.c_prime)
             )
@@ -58,7 +52,7 @@ class TestBuildOperator:
     def test_hermitian(self):
         gen = rng(301)
         for _ in range(50):
-            op = build_operator(settings_from(gen))
+            op = build_operator(random_settings(gen))
             assert np.max(np.abs(op - op.conj().T)) <= 1e-12
 
     def test_swap_maps_to_family_member(self):
@@ -66,7 +60,7 @@ class TestBuildOperator:
         # of the relabeled settings (a -> a', a' -> a, c' -> -c').
         gen = rng(302)
         for _ in range(50):
-            s = settings_from(gen)
+            s = random_settings(gen)
             swapped = MeasurementSettings(
                 s.a, s.a_prime, s.b_prime, s.b, -np.asarray(s.c_prime), s.c
             )
@@ -80,7 +74,7 @@ class TestSvetlichnyValue:
     def test_maximally_mixed(self):
         gen = rng(303)
         for _ in range(10):
-            assert svetlichny_value(np.eye(8) / 8.0, settings_from(gen)) == pytest.approx(
+            assert svetlichny_value(np.eye(8) / 8.0, random_settings(gen)) == pytest.approx(
                 0.0, abs=1e-12
             )
 
@@ -88,7 +82,7 @@ class TestSvetlichnyValue:
         gen = rng(304)
         for _ in range(1000):
             rho = random_density(gen)
-            s = settings_from(gen)
+            s = random_settings(gen)
             direct = svetlichny_value(rho, s)
             via_matrix = bilinear_value(unfold(correlation_tensor(rho)), s)
             assert abs(direct - via_matrix) <= 1e-10
@@ -98,7 +92,7 @@ class TestSvetlichnyValue:
         gen = rng(305)
         for _ in range(100):
             rho = random_density(gen)
-            s = settings_from(gen)
+            s = random_settings(gen)
             flipped = MeasurementSettings(s.a_prime, s.a, s.b_prime, s.b, s.c_prime, s.c)
             assert svetlichny_value(rho, flipped) == pytest.approx(
                 -svetlichny_value(rho, s), abs=1e-10
@@ -109,7 +103,7 @@ class TestBilinearValue:
     def test_zero_matrix(self):
         gen = rng(306)
         for _ in range(10):
-            assert bilinear_value(np.zeros((3, 9)), settings_from(gen)) == 0.0
+            assert bilinear_value(np.zeros((3, 9)), random_settings(gen)) == 0.0
 
     def test_vanishing_bracket_vectors(self):
         # b = b' kills one bracket; a(x)c = a'(x)c' kills the other.
@@ -123,5 +117,5 @@ class TestBilinearValue:
     def test_rejects_bad_shape(self):
         gen = rng(308)
         with pytest.raises(ValueError):
-            bilinear_value(np.zeros((9, 3)), settings_from(gen))
+            bilinear_value(np.zeros((9, 3)), random_settings(gen))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -30,6 +31,7 @@ from .families import (
     GHZ_COLOR,
     GHZ_WHITE,
     GME_THRESHOLD_LITERATURE,
+    MAX_SCAN_ROWS,
     FamilySpec,
     GhzClassParams,
     gme_lower_bound,
@@ -38,18 +40,13 @@ from .families import (
     violation_threshold,
 )
 from .qcore import StateValidationError
-from .seesaw import OptimizerConfig, SeesawError, maximize
+from .seesaw import MAX_STARTS, OptimizerConfig, SeesawError, maximize
 from .svetlichny import MeasurementSettings
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
-
-#: Largest --starts value accepted; maximize holds every start's settings in memory at once.
-MAX_STARTS = 10_000
-#: Largest number of rows a scan may produce; a lo:hi:count grid is checked before it is built.
-MAX_SCAN_ROWS = 1_000_000
 
 
 class StateFormatError(ValueError):
@@ -194,19 +191,6 @@ def _tol(text: str) -> float:
     return value
 
 
-_SEED = _int_in("--seed", 0, 2**64 - 1)
-_STARTS = _int_in("--starts", 1, MAX_STARTS)
-
-
-def _angles(args) -> tuple[float | None, float | None]:
-    theta = args.theta
-    theta3 = args.theta3
-    if getattr(args, "degrees", False):
-        theta = math.radians(theta) if theta is not None else None
-        theta3 = math.radians(theta3) if theta3 is not None else None
-    return theta, theta3
-
-
 def _certificate_payload(certificate: Certificate) -> dict:
     return {
         "settings": _settings_payload(certificate.settings),
@@ -216,14 +200,17 @@ def _certificate_payload(certificate: Certificate) -> dict:
 
 
 def _family_params(args, parser: _Parser) -> tuple[GhzClassParams | None, dict]:
-    """--family angles (both for ghz-white, none for ghz-color) and the family's digest payload."""
-    theta, theta3 = _angles(args)
+    """--family angles (both for ghz-white, none for ghz-color; in radians, converted
+    when --degrees is given) and the family's digest payload."""
+    theta, theta3 = args.theta, args.theta3
     if args.family == GHZ_COLOR:
         if theta is not None or theta3 is not None:
             parser.error("ghz-color takes no --theta/--theta3")
         return None, {"family": GHZ_COLOR}
     if theta is None or theta3 is None:
         parser.error("ghz-white requires --theta and --theta3")
+    if args.degrees:
+        theta, theta3 = math.radians(theta), math.radians(theta3)
     try:
         params = GhzClassParams(theta, theta3)
     except ValueError as exc:
@@ -234,16 +221,14 @@ def _family_params(args, parser: _Parser) -> tuple[GhzClassParams | None, dict]:
 def _resolve_state(args, parser: _Parser) -> tuple[StateAnalysis, str]:
     """The analysed state and its input digest, from --state or --family flags.
     The state is analysed before the digest is taken, so an invalid matrix fails first."""
-    if args.state is not None and args.family is not None:
-        parser.error("give either --state or --family, not both")
     if args.state is not None:
         for flag in ("theta", "theta3", "p"):
             if getattr(args, flag) is not None:
                 parser.error(f"--{flag} only applies to --family input")
+        if args.degrees:
+            parser.error("--degrees only applies to --family input")
         state = analyze(read_state_file(args.state))
         return state, _digest(state_payload(state.rho))
-    if args.family is None:
-        parser.error("a state source is required: --state FILE or --family KIND")
     if args.p is None:
         parser.error("--family requires --p")
     params, payload = _family_params(args, parser)
@@ -254,17 +239,14 @@ def _resolve_state(args, parser: _Parser) -> tuple[StateAnalysis, str]:
     return analyze(realize(spec)), _digest({**payload, "p": args.p})
 
 
-def _report(args, digest: str, result: dict) -> dict:
-    return {
+def _emit(args, digest: str, result: dict) -> int:
+    report = {
         "command": list(args.argv),
         "input_digest": digest,
         "seed": int(args.seed),
         "version": __version__,
         "result": result,
     }
-
-
-def _emit(report: dict) -> int:
     sys.stdout.write(_to_json(report) + "\n")
     return EXIT_OK
 
@@ -282,7 +264,7 @@ def _cmd_bound(args, parser):
         result["optimizer_value"] = report.optimizer_value
     if report.certificate is not None:
         result["certificate"] = _certificate_payload(report.certificate)
-    return _emit(_report(args, digest, result))
+    return _emit(args, digest, result)
 
 
 def _cmd_optimize(args, parser):
@@ -296,7 +278,7 @@ def _cmd_optimize(args, parser):
         "converged": result.converged,
         "per_start_values": list(result.per_start_values),
     }
-    return _emit(_report(args, digest, payload))
+    return _emit(args, digest, payload)
 
 
 def _cmd_threshold(args, parser):
@@ -304,48 +286,47 @@ def _cmd_threshold(args, parser):
     params, payload = _family_params(args, parser)
     report = violation_threshold(args.family, params, method=method)
     result = {"p_star": report.p_star, "method": report.method}
-    return _emit(_report(args, _digest(payload), result))
+    return _emit(args, _digest(payload), result)
 
 
-def _parse_grid(text: str, parser: _Parser, flag: str) -> list[float]:
+def _parse_grid(
+    text: str | None, parser: _Parser, flag: str, degrees: bool = False
+) -> list[float] | None:
+    """A comma list or lo:hi:count grid, converted to radians when degrees is set;
+    None when the flag was not given."""
+    if text is None:
+        return None
     try:
         if ":" in text:
             lo, hi, count = text.split(":")
             lo, hi, count = float(lo), float(hi), int(count)
             if count < 1:
                 raise ValueError("count must be at least 1")
+            # scan checks the row count, but a single grid this long is refused before it is built.
             if count > MAX_SCAN_ROWS:
                 raise ValueError(f"count must be at most {MAX_SCAN_ROWS}")
-            return [float(v) for v in np.linspace(lo, hi, count)]
-        return [float(token) for token in text.split(",") if token.strip()]
+            values = [float(v) for v in np.linspace(lo, hi, count)]
+        else:
+            values = [float(token) for token in text.split(",") if token.strip()]
     except ValueError as exc:
         parser.error(f"bad grid for {flag}: {exc}")
+    return [math.radians(v) for v in values] if degrees else values
 
 
 def _cmd_scan(args, parser):
     ps = _parse_grid(args.ps, parser, "--ps")
-    thetas = theta3s = None
-    if args.family == GHZ_WHITE:
-        if args.thetas is None or args.theta3s is None:
-            parser.error("ghz-white requires --thetas and --theta3s")
-        thetas = _parse_grid(args.thetas, parser, "--thetas")
-        theta3s = _parse_grid(args.theta3s, parser, "--theta3s")
-        if args.degrees:
-            thetas = [math.radians(v) for v in thetas]
-            theta3s = [math.radians(v) for v in theta3s]
-        digest = _digest({"family": args.family, "thetas": thetas, "theta3s": theta3s, "ps": ps})
-        annotations = {"gme_threshold_literature": GME_THRESHOLD_LITERATURE}
-    else:
-        if args.thetas is not None or args.theta3s is not None:
-            parser.error("ghz-color takes no --thetas/--theta3s")
-        digest = _digest({"family": args.family, "ps": ps})
-        annotations = {"bilocal_model_bound_literature": BILOCAL_BOUND_LITERATURE}
-    if math.prod(len(grid) for grid in (thetas, theta3s, ps) if grid is not None) > MAX_SCAN_ROWS:
-        parser.error(f"the grid has more than {MAX_SCAN_ROWS} rows")
+    thetas = _parse_grid(args.thetas, parser, "--thetas", args.degrees)
+    theta3s = _parse_grid(args.theta3s, parser, "--theta3s", args.degrees)
     try:
         rows = scan(args.family, thetas, theta3s, ps)
     except ValueError as exc:
         parser.error(str(exc))
+    if args.family == GHZ_WHITE:
+        digest = _digest({"family": args.family, "thetas": thetas, "theta3s": theta3s, "ps": ps})
+        annotations = {"gme_threshold_literature": GME_THRESHOLD_LITERATURE}
+    else:
+        digest = _digest({"family": args.family, "ps": ps})
+        annotations = {"bilocal_model_bound_literature": BILOCAL_BOUND_LITERATURE}
     with _atomic_open(args.out) as handle:
         handle.write("theta,theta3,p,lambda1,q_bound,violates,gme_lb\n")
         for row in rows:
@@ -358,7 +339,7 @@ def _cmd_scan(args, parser):
         "annotations": annotations,
         "annotations_note": "cited literature values, quoted not computed",
     }
-    return _emit(_report(args, digest, result))
+    return _emit(args, digest, result)
 
 
 def _cmd_certify(args, parser):
@@ -371,7 +352,7 @@ def _cmd_certify(args, parser):
     else:
         # Without a certificate the see-saw's best value measures how far the bound is from attained.
         result = {"q_bound": q_bound, "certificate": None, "gap": q_bound - maximize(state, cfg).best_value}
-    return _emit(_report(args, digest, result))
+    return _emit(args, digest, result)
 
 
 def _cmd_gme(args, parser):
@@ -383,16 +364,12 @@ def _cmd_gme(args, parser):
         "chain_value": report.chain_value,
         "clamped_lb": report.clamped_lb,
     }
-    return _emit(_report(args, digest, result))
+    return _emit(args, digest, result)
 
 
-def _add_state_source(sub: _Parser) -> None:
-    sub.add_argument("--state", metavar="FILE", help="density matrix JSON file")
-    sub.add_argument("--family", choices=[GHZ_WHITE, GHZ_COLOR], help="parameterized family")
-    sub.add_argument("--theta", type=float, help="family angle theta (radians)")
-    sub.add_argument("--theta3", type=float, help="family angle theta3 (radians)")
-    sub.add_argument("--p", type=float, help="family mixing weight in [0, 1]")
-    sub.add_argument("--degrees", action="store_true", help="interpret angles in degrees")
+def _add_family(container, required: bool = False) -> None:
+    choices = [GHZ_WHITE, GHZ_COLOR]
+    container.add_argument("--family", choices=choices, required=required, help="parameterized family")
 
 
 def build_parser() -> _Parser:
@@ -400,57 +377,56 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"svetbound {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
-    bound = subs.add_parser("bound", help="singular-value bound 4*lambda1 and classification")
-    _add_state_source(bound)
-    bound.add_argument("--starts", type=_STARTS, default=50)
-    bound.add_argument("--seed", type=_SEED, default=0)
+    # Parent parsers: each flag is declared once and shared by the subcommands that take it.
+    seed = _Parser(add_help=False)
+    seed.add_argument("--seed", type=_int_in("--seed", 0, 2**64 - 1), default=0)
+    starts = _Parser(add_help=False)
+    starts.add_argument("--starts", type=_int_in("--starts", 1, MAX_STARTS), default=50)
+    degrees = _Parser(add_help=False)
+    degrees.add_argument("--degrees", action="store_true", help="interpret angles in degrees")
+    angles = _Parser(add_help=False, parents=[degrees])
+    angles.add_argument("--theta", type=float, help="family angle theta (radians)")
+    angles.add_argument("--theta3", type=float, help="family angle theta3 (radians)")
+    family = _Parser(add_help=False)
+    _add_family(family, required=True)
+    source = _Parser(add_help=False)
+    either = source.add_mutually_exclusive_group(required=True)
+    either.add_argument("--state", metavar="FILE", help="density matrix JSON file")
+    _add_family(either)
+    source.add_argument("--p", type=float, help="family mixing weight in [0, 1]")
+
+    def command(name, func, help_text, *parents):
+        sub = subs.add_parser(name, parents=[*parents, seed], help=help_text)
+        sub.set_defaults(func=func, parser=sub)
+        return sub
+
+    bound = command("bound", _cmd_bound, "singular-value bound 4*lambda1 and classification",
+                    source, angles, starts)
     bound.add_argument("--certify", action="store_true", help="also attach a tightness certificate")
-    bound.set_defaults(func=_cmd_bound, parser=bound)
-
-    optimize = subs.add_parser("optimize", help="multistart see-saw maximal value")
-    _add_state_source(optimize)
-    optimize.add_argument("--starts", type=_STARTS, default=50)
-    optimize.add_argument("--seed", type=_SEED, default=0)
+    optimize = command("optimize", _cmd_optimize, "multistart see-saw maximal value", source, angles, starts)
     optimize.add_argument("--tol", type=_tol, default=1e-10, help="per-sweep convergence tolerance")
-    optimize.set_defaults(func=_cmd_optimize, parser=optimize)
-
-    threshold = subs.add_parser("threshold", help="critical mixing weight p*")
-    threshold.add_argument("--family", choices=[GHZ_WHITE, GHZ_COLOR], required=True)
-    threshold.add_argument("--theta", type=float)
-    threshold.add_argument("--theta3", type=float)
-    threshold.add_argument("--degrees", action="store_true")
+    threshold = command("threshold", _cmd_threshold, "critical mixing weight p*", family, angles)
     threshold.add_argument("--method", choices=["closed-form", "bisection"], default="closed-form")
-    threshold.add_argument("--seed", type=_SEED, default=0)
-    threshold.set_defaults(func=_cmd_threshold, parser=threshold)
-
-    scan_cmd = subs.add_parser("scan", help="grid scan to CSV")
-    scan_cmd.add_argument("--family", choices=[GHZ_WHITE, GHZ_COLOR], required=True)
+    scan_cmd = command("scan", _cmd_scan, "grid scan to CSV", family, degrees)
     scan_cmd.add_argument("--thetas", help="grid: comma list or lo:hi:count")
     scan_cmd.add_argument("--theta3s", help="grid: comma list or lo:hi:count")
     scan_cmd.add_argument("--ps", required=True, help="grid: comma list or lo:hi:count")
-    scan_cmd.add_argument("--degrees", action="store_true")
     scan_cmd.add_argument("--out", required=True, metavar="FILE", help="CSV output path")
-    scan_cmd.add_argument("--seed", type=_SEED, default=0)
-    scan_cmd.set_defaults(func=_cmd_scan, parser=scan_cmd)
-
-    certify = subs.add_parser("certify", help="settings attaining 4*lambda1, if any")
-    _add_state_source(certify)
+    certify = command("certify", _cmd_certify, "settings attaining 4*lambda1, if any", source, angles, starts)
     certify.add_argument("--tol", type=_tol, default=1e-6, help="certificate tolerance")
-    certify.add_argument("--starts", type=_STARTS, default=50)
-    certify.add_argument("--seed", type=_SEED, default=0)
-    certify.set_defaults(func=_cmd_certify, parser=certify)
-
-    gme = subs.add_parser("gme", help="entanglement concurrence lower bounds")
-    _add_state_source(gme)
-    gme.add_argument("--seed", type=_SEED, default=0)
-    gme.set_defaults(func=_cmd_gme, parser=gme)
-
+    command("gme", _cmd_gme, "entanglement concurrence lower bounds", source, angles)
     return parser
+
+
+@functools.cache
+def _parser() -> _Parser:
+    # Built by the first main call, not at import, and reused by every later call.
+    return build_parser()
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     args.argv = argv
     try:
         return args.func(args, args.parser)

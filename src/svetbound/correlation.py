@@ -9,7 +9,7 @@ to transposing this layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,12 +93,25 @@ def singular_spectrum(matrix) -> SingularSpectrum:
 
 @dataclass(frozen=True)
 class StateAnalysis:
-    """A validated state with its correlation tensor, 3x9 unfolding and spectrum."""
+    """A validated state with its correlation tensor, 3x9 unfolding and spectrum.
+
+    Only rho is given; the rest is derived from it when the object is built, so
+    every StateAnalysis holds the tensor of its own rho. correlation_tensor does
+    the validation, and rho is kept as a read-only complex copy.
+    """
 
     rho: np.ndarray
-    tensor: np.ndarray
-    matrix: np.ndarray
-    spectrum: SingularSpectrum
+    tensor: np.ndarray = field(init=False)
+    matrix: np.ndarray = field(init=False)
+    spectrum: SingularSpectrum = field(init=False)
+
+    def __post_init__(self):
+        tensor = correlation_tensor(self.rho)
+        matrix = unfold(tensor)
+        object.__setattr__(self, "rho", _readonly(np.asarray(self.rho, dtype=complex)))
+        object.__setattr__(self, "tensor", tensor)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "spectrum", singular_spectrum(matrix))
 
     @property
     def q_bound(self) -> float:
@@ -109,14 +122,7 @@ class StateAnalysis:
 def analyze(rho) -> StateAnalysis:
     """Validate a density matrix and build its tensor, unfolding and spectrum once.
 
-    This is where every request validates its state: correlation_tensor does the
-    validation, and rho is kept as the read-only complex copy validate_density
-    returns. A StateAnalysis is returned unchanged.
+    This is where every request validates its state. A StateAnalysis is
+    returned unchanged.
     """
-    if isinstance(rho, StateAnalysis):
-        return rho
-    tensor = correlation_tensor(rho)
-    matrix = unfold(tensor)
-    rho = _readonly(np.asarray(rho, dtype=complex))
-    return StateAnalysis(rho, tensor, matrix, singular_spectrum(matrix))
-
+    return rho if isinstance(rho, StateAnalysis) else StateAnalysis(rho)

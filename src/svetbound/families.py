@@ -23,6 +23,9 @@ BISECTION = "Bisection"
 GME_THRESHOLD_LITERATURE = 0.428571
 BILOCAL_BOUND_LITERATURE = 0.416667
 
+#: Largest number of rows scan produces; it holds every row in memory at once.
+MAX_SCAN_ROWS = 1_000_000
+
 _HALF_PI = math.pi / 2.0
 _BISECTION_P_TOL = 1e-9
 
@@ -208,28 +211,35 @@ def scan(
     Each angle pair is analysed once, at p = 1; since T(p) = p*T(1), every row scales
     that member: lambda1 = p*lambda1(1), gme_lb = p*sqrt(||M(1)||_HS^2/8) - 1/2.
     The violates flag records q_bound > 4; on these two families the bound is
-    attained, so the flag coincides with certified violation. The p grid and
-    every angle pair are checked before any member is analysed. ghz-color takes
-    only a p grid and echoes the GHZ angles (pi/4, pi/2) in the angle columns.
+    attained, so the flag coincides with certified violation. ghz-white takes
+    both angle grids; ghz-color takes neither (None) and echoes the GHZ angles
+    (pi/4, pi/2) in the angle columns. A grid of more than MAX_SCAN_ROWS rows
+    is rejected from the grid lengths alone; then the p grid and every angle
+    pair are checked, all before any member is analysed.
     """
+    if kind == GHZ_WHITE:
+        if thetas is None or theta3s is None:
+            raise ValueError("ghz-white requires theta and theta3 grids")
+    elif kind == GHZ_COLOR:
+        if thetas is not None or theta3s is not None:
+            raise ValueError("ghz-color takes no angle grids")
+        thetas, theta3s = [math.pi / 4.0], [_HALF_PI]
+    else:
+        raise ValueError(f"unknown family kind {kind!r}")
+    thetas = sorted(float(t) for t in thetas)
+    theta3s = sorted(float(t) for t in theta3s)
     ps = sorted(float(p) for p in (ps if ps is not None else []))
+    if len(thetas) * len(theta3s) * len(ps) > MAX_SCAN_ROWS:
+        raise ValueError(f"the grid has more than {MAX_SCAN_ROWS} rows")
     if not ps:
         raise ValueError("p grid must be nonempty")
     for p in ps:
         _check_weight(p)
-    if kind == GHZ_WHITE:
-        thetas = sorted(float(t) for t in (thetas if thetas is not None else []))
-        theta3s = sorted(float(t) for t in (theta3s if theta3s is not None else []))
-        if not thetas or not theta3s:
-            raise ValueError("theta and theta3 grids must be nonempty")
-        # Every angle pair is checked here, before any member is analysed.
-        pairs = [(t, t3, GhzClassParams(t, t3)) for t in thetas for t3 in theta3s]
-    elif kind == GHZ_COLOR:
-        if thetas or theta3s:
-            raise ValueError("ghz-color takes no angle grids")
-        pairs = [(math.pi / 4.0, _HALF_PI, None)]
-    else:
-        raise ValueError(f"unknown family kind {kind!r}")
+    if not thetas or not theta3s:
+        raise ValueError("theta and theta3 grids must be nonempty")
+    # Every angle pair is checked here, before any member is analysed.
+    white = kind == GHZ_WHITE
+    pairs = [(t, t3, GhzClassParams(t, t3) if white else None) for t in thetas for t3 in theta3s]
 
     rows = []
     for theta, theta3, params in pairs:

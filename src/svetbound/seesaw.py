@@ -23,6 +23,9 @@ from .correlation import analyze
 from .qcore import validate_density  # noqa: F401
 from .svetlichny import MeasurementSettings
 
+#: Largest start count OptimizerConfig accepts; maximize holds every start's settings in memory at once.
+MAX_STARTS = 10_000
+
 _MIN_COEFF_NORM = 1e-14
 _BOUND_SLACK = 1e-7
 _EXTRAPOLATION_PERIOD = 10
@@ -46,8 +49,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if not all(isinstance(v, (int, np.integer)) for v in (self.starts, self.max_iterations, self.seed)):
             raise ValueError("starts, max_iterations and seed must be integers")
-        if self.starts < 1:
-            raise ValueError("starts must be at least 1")
+        if not 1 <= self.starts <= MAX_STARTS:
+            raise ValueError(f"starts must lie in [1, {MAX_STARTS}]")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if not 0.0 < self.convergence_tol < np.inf:

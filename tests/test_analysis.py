@@ -17,7 +17,7 @@ from svetbound import (
     validate_density,
 )
 from svetbound.cli import main, write_state_file
-from svetbound.correlation import analyze
+from svetbound.correlation import StateAnalysis, analyze
 
 from support import count_calls, random_density, rng
 
@@ -124,6 +124,16 @@ class TestAnalyze:
         assert analyze(state) is state
         assert state.q_bound == 4.0 * state.spectrum.lambda1
         assert not state.rho.flags.writeable
+
+    def test_pieces_come_only_from_rho(self):
+        # A StateAnalysis derives its tensor, unfolding and spectrum from its own
+        # rho, so none can pair a state with another state's tensor.
+        ghz = analyze(realize(FamilySpec(GHZ_COLOR, 1.0)))
+        with pytest.raises(TypeError):
+            StateAnalysis(3 * np.eye(8), ghz.tensor, ghz.matrix, ghz.spectrum)
+        with pytest.raises(StateValidationError):
+            StateAnalysis(3 * np.eye(8))
+        assert StateAnalysis(ghz.rho).spectrum.values == ghz.spectrum.values
 
     def test_invalid_matrix_is_rejected(self):
         bad = np.zeros((8, 8), dtype=complex)

@@ -10,6 +10,7 @@ import pytest
 
 import svetbound.bounds
 import svetbound.cli
+import svetbound.families
 import svetbound.seesaw
 from svetbound import OptimizerConfig, maximize
 from svetbound.cli import main, read_state_file, state_payload, write_state_file
@@ -30,17 +31,12 @@ SOURCE_FLAGS = {
 
 
 def run_cli(*args):
+    """A fresh `python -m svetbound` process, for the few checks that need one."""
     return subprocess.run(
         [sys.executable, "-m", "svetbound", *args],
         capture_output=True,
         text=True,
     )
-
-
-def run_json(*args):
-    proc = run_cli(*args)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
 
 
 def exit_code(*argv):
@@ -51,12 +47,25 @@ def exit_code(*argv):
         return exc.code
 
 
+@pytest.fixture
+def run_json(capsys):
+    """In-process main that must exit 0; returns the JSON report it printed."""
+
+    def run(*argv):
+        code = exit_code(*argv)
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        return json.loads(out)
+
+    return run
+
+
 def _no_work(*args, **kwargs):
-    raise AssertionError("the input cap must fire before any work")
+    raise AssertionError("the input check must fire before any work")
 
 
 class TestBound:
-    def test_ghz_value_and_classification(self):
+    def test_ghz_value_and_classification(self, run_json):
         out = run_json("bound", *GHZ_FLAGS, "--p", "1", "--starts", "8", "--seed", "1")
         assert out["result"]["q_bound"] == pytest.approx(5.656854, abs=1e-5)
         assert out["result"]["classification"] == "CertifiedViolation"
@@ -64,12 +73,12 @@ class TestBound:
         assert out["seed"] == 1
         assert out["input_digest"].startswith("sha256:")
 
-    def test_below_threshold(self):
+    def test_below_threshold(self, run_json):
         out = run_json("bound", *GHZ_FLAGS, "--p", "0.5", "--starts", "4")
         assert out["result"]["classification"] == "CertifiedNoViolation"
         assert "optimizer_value" not in out["result"]
 
-    def test_state_file_input(self, tmp_path):
+    def test_state_file_input(self, tmp_path, run_json):
         path = tmp_path / "mixed.json"
         write_state_file(path, np.eye(8) / 8.0)
         out = run_json("bound", "--state", str(path))
@@ -81,7 +90,7 @@ class TestBound:
         second = run_cli(*args)
         assert first.stdout == second.stdout
 
-    def test_degrees_flag(self):
+    def test_degrees_flag(self, run_json):
         radians = run_json("bound", *GHZ_FLAGS, "--p", "0.5")
         degrees = run_json(
             "bound", "--family", "ghz-white", "--theta", "45", "--theta3", "90",
@@ -94,7 +103,7 @@ class TestBound:
 
 
 class TestOptimize:
-    def test_ghz(self):
+    def test_ghz(self, run_json):
         out = run_json("optimize", *GHZ_FLAGS, "--p", "1", "--starts", "8", "--seed", "7")
         assert out["result"]["best_value"] == pytest.approx(4 * math.sqrt(2), abs=1e-6)
         assert len(out["result"]["per_start_values"]) == 8
@@ -103,7 +112,7 @@ class TestOptimize:
         for vec in settings.values():
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
-    def test_maximally_mixed(self, tmp_path):
+    def test_maximally_mixed(self, tmp_path, run_json):
         path = tmp_path / "mixed.json"
         write_state_file(path, np.eye(8) / 8.0)
         out = run_json("optimize", "--state", str(path), "--starts", "3")
@@ -115,31 +124,30 @@ class TestOptimize:
 
 
 class TestThreshold:
-    def test_ghz_white(self):
+    def test_ghz_white(self, run_json):
         out = run_json("threshold", *GHZ_FLAGS)
         assert out["result"]["p_star"] == pytest.approx(0.707107, abs=1e-5)
         assert out["result"]["method"] == "ClosedForm"
 
-    def test_ghz_color(self):
+    def test_ghz_color(self, run_json):
         out = run_json("threshold", "--family", "ghz-color")
         assert out["result"]["p_star"] == pytest.approx(0.707107, abs=1e-6)
 
-    def test_no_violation(self):
+    def test_no_violation(self, run_json):
         out = run_json("threshold", "--family", "ghz-white", "--theta", "0.1", "--theta3", "0.1")
         assert out["result"]["p_star"] is None
 
-    def test_bisection_method(self):
+    def test_bisection_method(self, run_json):
         out = run_json("threshold", *GHZ_FLAGS, "--method", "bisection")
         assert out["result"]["method"] == "Bisection"
         assert out["result"]["p_star"] == pytest.approx(0.707107, abs=1e-5)
 
-    def test_rejects_p_flag(self):
-        proc = run_cli("threshold", *GHZ_FLAGS, "--p", "0.5")
-        assert proc.returncode == 1
+    def test_rejects_p_flag(self, capsys):
+        assert exit_code("threshold", *GHZ_FLAGS, "--p", "0.5") == 1
 
 
 class TestScan:
-    def test_csv_contents(self, tmp_path):
+    def test_csv_contents(self, tmp_path, run_json):
         out_path = tmp_path / "scan.csv"
         result = run_json(
             "scan", "--family", "ghz-white", "--thetas", "0.785398",
@@ -160,13 +168,13 @@ class TestScan:
         assert p_col[first_true] > 0.707107
         assert p_col[first_true - 1] <= 0.707107
 
-    def test_color_annotations(self, tmp_path):
+    def test_color_annotations(self, tmp_path, run_json):
         out_path = tmp_path / "color.csv"
         result = run_json("scan", "--family", "ghz-color", "--ps", "0.2,0.9", "--out", str(out_path))
         assert result["result"]["annotations"]["bilocal_model_bound_literature"] == pytest.approx(0.416667)
         assert result["result"]["rows"] == 2
 
-    def test_single_point(self, tmp_path):
+    def test_single_point(self, tmp_path, run_json):
         out_path = tmp_path / "one.csv"
         result = run_json("scan", "--family", "ghz-color", "--ps", "0.5", "--out", str(out_path))
         assert result["result"]["rows"] == 1
@@ -196,11 +204,10 @@ class TestScan:
         assert "p must lie in [0, 1], got 1.5" in err
         assert not out_path.exists()
 
-    def test_unwritable_out_path(self, tmp_path):
-        proc = run_cli("scan", "--family", "ghz-color", "--ps", "0.5",
-                       "--out", str(tmp_path / "missing" / "x.csv"))
-        assert proc.returncode == 3
-
+    def test_unwritable_out_path(self, tmp_path, capsys):
+        code = exit_code("scan", "--family", "ghz-color", "--ps", "0.5",
+                         "--out", str(tmp_path / "missing" / "x.csv"))
+        assert code == 3
 
     def test_successful_scan_leaves_only_the_csv(self, tmp_path, capsys):
         assert main(["scan", "--family", "ghz-color", "--ps", "0.2,0.9",
@@ -224,14 +231,14 @@ class TestScan:
 
 
 class TestCertify:
-    def test_white_noise_family(self):
+    def test_white_noise_family(self, run_json):
         out = run_json("certify", *GHZ_FLAGS, "--p", "0.8", "--starts", "6", "--seed", "2")
         cert = out["result"]["certificate"]
         assert cert is not None
         assert abs(cert["achieved"]) == pytest.approx(4.525483, abs=1e-5)
         assert cert["residual"] <= 1e-6
 
-    def test_color_noise_full_weight(self):
+    def test_color_noise_full_weight(self, run_json):
         out = run_json("certify", "--family", "ghz-color", "--p", "1", "--starts", "6")
         assert abs(out["result"]["certificate"]["achieved"]) == pytest.approx(
             5.656854, abs=1e-5
@@ -245,7 +252,7 @@ class TestCertify:
         assert outputs[0]["certificate"] is not None
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
-    def test_random_dense_fixture_reports_gap(self):
+    def test_random_dense_fixture_reports_gap(self, run_json):
         out = run_json(
             "certify", "--state", str(FIXTURES / "random_dense_state.json"),
             "--starts", "10", "--seed", "5",
@@ -272,44 +279,62 @@ class TestCertify:
 
 
 class TestGme:
-    def test_ghz(self):
+    def test_ghz(self, run_json):
         out = run_json("gme", *GHZ_FLAGS, "--p", "1")
         assert out["result"]["lb_value"] == pytest.approx(0.207107, abs=1e-5)
 
-    def test_maximally_mixed(self, tmp_path):
+    def test_maximally_mixed(self, tmp_path, run_json):
         path = tmp_path / "mixed.json"
         write_state_file(path, np.eye(8) / 8.0)
         out = run_json("gme", "--state", str(path))
         assert out["result"]["lb_value"] == pytest.approx(-0.5, abs=1e-12)
         assert out["result"]["clamped_lb"] == 0.0
 
-    def test_white_noise_09(self):
+    def test_white_noise_09(self, run_json):
         out = run_json("gme", *GHZ_FLAGS, "--p", "0.9")
         assert out["result"]["lb_value"] == pytest.approx(0.136396, abs=1e-5)
 
 
 class TestExitCodes:
-    def test_no_subcommand_is_usage(self):
-        assert run_cli().returncode == 1
+    def test_no_subcommand_is_usage(self, capsys):
+        assert exit_code() == 1
 
-    def test_missing_state_source(self):
-        assert run_cli("bound").returncode == 1
+    def test_missing_state_source(self, capsys):
+        assert exit_code("bound") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: svetbound bound ")
+        assert "one of the arguments --state --family is required" in err
 
-    def test_both_state_sources(self, tmp_path):
+    def test_both_state_sources(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(svetbound.cli, "read_state_file", _no_work)
         path = tmp_path / "mixed.json"
         write_state_file(path, np.eye(8) / 8.0)
-        proc = run_cli("bound", "--state", str(path), "--family", "ghz-color", "--p", "1")
-        assert proc.returncode == 1
+        assert exit_code("bound", "--state", str(path), "--family", "ghz-color", "--p", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: svetbound bound ")
+        assert "argument --family: not allowed with argument --state" in err
 
-    def test_unknown_family(self):
-        assert run_cli("threshold", "--family", "ghz-pink").returncode == 1
+    @pytest.mark.parametrize("flag", [["--theta", "0.5"], ["--theta3", "0.5"], ["--p", "0.5"], ["--degrees"]])
+    def test_family_flag_with_state_is_a_usage_error(self, flag, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "mixed.json"
+        write_state_file(path, np.eye(8) / 8.0)
+        assert exit_code("bound", "--state", str(path)) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(svetbound.cli, "read_state_file", _no_work)
+        assert exit_code("bound", "--state", str(path), *flag) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: svetbound bound ")
+        assert f"{flag[0]} only applies to --family input" in err
 
-    def test_out_of_range_angle(self):
-        proc = run_cli("bound", "--family", "ghz-white", "--theta", "2.0",
-                       "--theta3", "0.5", "--p", "1")
-        assert proc.returncode == 1
+    def test_unknown_family(self, capsys):
+        assert exit_code("threshold", "--family", "ghz-pink") == 1
+
+    def test_out_of_range_angle(self, capsys):
+        code = exit_code("bound", "--family", "ghz-white", "--theta", "2.0", "--theta3", "0.5", "--p", "1")
+        assert code == 1
 
     def test_invalid_state_lists_residuals(self, tmp_path):
+        # A fresh `python -m svetbound`, so the exit code main returns is seen to reach the shell.
         bad = np.zeros((8, 8), dtype=complex)
         bad[0, 0] = 2.0
         path = tmp_path / "bad.json"
@@ -319,14 +344,13 @@ class TestExitCodes:
         assert "trace_not_one" in proc.stderr
         assert "residual" in proc.stderr
 
-    def test_missing_state_file(self):
-        proc = run_cli("bound", "--state", "/nonexistent/state.json")
-        assert proc.returncode == 3
+    def test_missing_state_file(self, capsys):
+        assert exit_code("bound", "--state", "/nonexistent/state.json") == 3
 
-    def test_malformed_json_state(self, tmp_path):
+    def test_malformed_json_state(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
-        assert run_cli("bound", "--state", str(path)).returncode == 2
+        assert exit_code("bound", "--state", str(path)) == 2
 
     def test_non_utf8_state_file(self, tmp_path, capsys):
         path = tmp_path / "utf16.json"
@@ -343,11 +367,6 @@ class TestExitCodes:
         )
         assert main(["optimize", *GHZ_FLAGS, "--p", "1", "--starts", "2"]) == 3
         assert "numerical failure" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("tol", ["nan", "inf"])
-    def test_non_finite_tolerances_are_usage_errors(self, tol, capsys):
-        assert exit_code("certify", *GHZ_FLAGS, "--p", "1", "--starts", "2", "--tol", tol) == 1
-        assert exit_code("optimize", *GHZ_FLAGS, "--p", "1", "--starts", "2", "--tol", tol) == 1
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_bad_tol_checked_before_the_state_is_read(self, tol, tmp_path, capsys):
@@ -367,7 +386,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("subcommand", ["bound", "optimize", "certify"])
     def test_starts_above_cap(self, subcommand, monkeypatch, capsys):
         monkeypatch.setattr(svetbound.cli, "_resolve_state", _no_work)
-        starts = str(svetbound.cli.MAX_STARTS + 1)
+        starts = str(svetbound.seesaw.MAX_STARTS + 1)
         assert exit_code(subcommand, *GHZ_FLAGS, "--p", "1", "--starts", starts) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"usage: svetbound {subcommand} ")
@@ -410,27 +429,65 @@ class TestExitCodes:
 
     def test_grid_count_above_cap(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(svetbound.cli, "scan", _no_work)
-        ps = f"0:1:{svetbound.cli.MAX_SCAN_ROWS + 1}"
+        ps = f"0:1:{svetbound.families.MAX_SCAN_ROWS + 1}"
         out_path = tmp_path / "x.csv"
         assert exit_code("scan", "--family", "ghz-color", "--ps", ps, "--out", str(out_path)) == 1
         assert "count must be at most" in capsys.readouterr().err
         assert not out_path.exists()
 
     def test_grid_rows_above_cap(self, tmp_path, monkeypatch, capsys):
-        # 101 * 9901 = MAX_SCAN_ROWS + 1 rows, each grid alone under the cap.
-        assert 101 * 9901 == svetbound.cli.MAX_SCAN_ROWS + 1
-        monkeypatch.setattr(svetbound.cli, "scan", _no_work)
+        # 101 * 9901 = MAX_SCAN_ROWS + 1 rows, each grid alone under the cap; scan
+        # refuses the grid before it builds any member.
+        assert 101 * 9901 == svetbound.families.MAX_SCAN_ROWS + 1
+        for name in ("GhzClassParams", "_analyze_member"):
+            monkeypatch.setattr(svetbound.families, name, _no_work)
         out_path = tmp_path / "x.csv"
         code = exit_code("scan", "--family", "ghz-white", "--thetas", "0:0.5:101",
                          "--theta3s", "0:1:9901", "--ps", "0.5", "--out", str(out_path))
         assert code == 1
-        assert "more than" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: svetbound scan ")
+        assert "the grid has more than 1000000 rows" in err
         assert not out_path.exists()
 
-    def test_wrong_schema(self, tmp_path):
+    @pytest.mark.parametrize(
+        "family, grids, message",
+        [("ghz-white", ["--thetas", "0.5"], "ghz-white requires theta and theta3 grids"),
+         ("ghz-color", ["--theta3s", ""], "ghz-color takes no angle grids")],
+    )
+    def test_scan_family_grid_rules(self, family, grids, message, tmp_path, capsys):
+        out_path = tmp_path / "x.csv"
+        assert exit_code("scan", "--family", family, *grids, "--ps", "0.5", "--out", str(out_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: svetbound scan ")
+        assert message in err
+        assert not out_path.exists()
+
+    def test_wrong_schema(self, tmp_path, capsys):
         path = tmp_path / "schema.json"
         path.write_text(json.dumps({"dim": 4, "matrix": []}))
-        assert run_cli("bound", "--state", str(path)).returncode == 2
+        assert exit_code("bound", "--state", str(path)) == 2
+
+
+class TestParser:
+    def test_built_once_per_process(self, monkeypatch, capsys):
+        built = []
+        real = svetbound.cli.build_parser
+
+        def counting():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(svetbound.cli, "build_parser", counting)
+        svetbound.cli._parser.cache_clear()
+        assert main(["gme", "--family", "ghz-color", "--p", "1"]) == 0
+        assert main(["gme", "--family", "ghz-color", "--p", "0.5"]) == 0
+        assert len(built) == 1
+
+    def test_not_built_at_import(self):
+        script = "import svetbound.cli as c; print(c._parser.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.stdout.strip() == "0", proc.stderr
 
 
 class TestStateRoundTrip:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import svetbound.families
 from svetbound import (
     BISECTION,
     CLOSED_FORM,
@@ -22,6 +23,7 @@ from svetbound import (
     violation_threshold,
 )
 from svetbound.correlation import analyze
+from svetbound.families import MAX_SCAN_ROWS
 
 from support import count_calls
 
@@ -273,6 +275,28 @@ class TestScan:
             scan(GHZ_WHITE, [], [0.5], [0.5])
         with pytest.raises(ValueError):
             scan(GHZ_COLOR, ps=[])
+
+    def test_angle_grids_follow_the_family(self):
+        with pytest.raises(ValueError, match="ghz-white requires theta and theta3 grids"):
+            scan(GHZ_WHITE, [0.5], None, [0.5])
+        # An empty grid is still a grid given to a family that takes none.
+        with pytest.raises(ValueError, match="ghz-color takes no angle grids"):
+            scan(GHZ_COLOR, [], None, [0.5])
+
+    def test_rows_above_cap_rejected_before_any_member(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the row cap must fire before any member is built")
+
+        for name in ("GhzClassParams", "_analyze_member"):
+            monkeypatch.setattr(svetbound.families, name, no_work)
+        # 101 * 9901 = MAX_SCAN_ROWS + 1 rows, each grid alone under the cap.
+        assert 101 * 9901 == MAX_SCAN_ROWS + 1
+        thetas = list(np.linspace(0.0, 0.5, 101))
+        theta3s = list(np.linspace(0.0, 1.0, 9901))
+        with pytest.raises(ValueError, match=f"the grid has more than {MAX_SCAN_ROWS} rows"):
+            scan(GHZ_WHITE, thetas, theta3s, [0.5])
+        with pytest.raises(ValueError, match=f"the grid has more than {MAX_SCAN_ROWS} rows"):
+            scan(GHZ_COLOR, ps=[0.5] * (MAX_SCAN_ROWS + 1))
 
     def test_deterministic(self):
         a = scan(GHZ_WHITE, [0.4], [0.9], [0.3, 0.8])

@@ -23,7 +23,7 @@ from svetbound import (
     svetlichny_value,
     unfold,
 )
-from svetbound.seesaw import _draw_directions
+from svetbound.seesaw import MAX_STARTS, _draw_directions
 
 from support import GHZ_OPTIMUM, random_density, random_settings, rng, w_density
 
@@ -71,6 +71,12 @@ class TestOptimizerConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             OptimizerConfig(**kwargs)
+
+    def test_starts_cap(self):
+        # maximize holds every start's settings at once, so the config refuses more starts.
+        assert OptimizerConfig(starts=MAX_STARTS).starts == MAX_STARTS
+        with pytest.raises(ValueError, match=r"starts must lie in \[1, 10000\]"):
+            OptimizerConfig(starts=MAX_STARTS + 1)
 
     def test_accepts_numpy_integers(self):
         cfg = OptimizerConfig(starts=np.int32(2), max_iterations=np.int64(3), seed=np.uint64(2**64 - 1))

@@ -204,8 +204,8 @@ def _family_params(args, parser: _Parser) -> tuple[GhzClassParams | None, dict]:
     when --degrees is given) and the family's digest payload."""
     theta, theta3 = args.theta, args.theta3
     if args.family == GHZ_COLOR:
-        if theta is not None or theta3 is not None:
-            parser.error("ghz-color takes no --theta/--theta3")
+        if theta is not None or theta3 is not None or args.degrees:
+            parser.error("ghz-color takes no --theta, --theta3 or --degrees")
         return None, {"family": GHZ_COLOR}
     if theta is None or theta3 is None:
         parser.error("ghz-white requires --theta and --theta3")
@@ -314,6 +314,8 @@ def _parse_grid(
 
 
 def _cmd_scan(args, parser):
+    if args.degrees and args.family == GHZ_COLOR:
+        parser.error("ghz-color takes no --degrees")
     ps = _parse_grid(args.ps, parser, "--ps")
     thetas = _parse_grid(args.thetas, parser, "--thetas", args.degrees)
     theta3s = _parse_grid(args.theta3s, parser, "--theta3s", args.degrees)

@@ -6,6 +6,12 @@ is the normalized coefficient vector. A sweep updates all six in the fixed
 order (a, a', b, b', c, c'), computed as one complex update per party for all
 starts at once; the objective never decreases.
 
+Flipping b and b' negates the Svetlichny operator, so the largest mean value
+is also the largest absolute one, and each start needs only one ascent: the
+a-update reads only b, b', c, c', so a start with b and b' flipped takes -a,
+then -b, then the same c, and from then on mirrors the unflipped ascent with
+the same value.
+
 Randomness comes from numpy's PCG64 generator with an explicit seed. Stream
 layout: for each start, six directions are drawn in the order a, a', b, b',
 c, c', each as three standard normals that get normalized. Identical
@@ -167,19 +173,18 @@ def maximize(rho, config: OptimizerConfig | None = None) -> OptimizationResult:
     rho is a density matrix, which analyze validates and decomposes, or a
     StateAnalysis, whose tensor and spectrum are used as they are.
 
-    Each start ascends both the + and - sign branches of the mean value from
-    the same drawn settings; the - branch starts from the drawn settings with
-    b and b' flipped, which negates the mean value, so both branches ascend
-    the same tensor and every returned setting has signed value +value. All
-    ascents run batched, each sweep being three complex block updates (see
-    _block_sweep), with a per-start active mask; a start stops, and its
-    settings freeze, once an iteration improves it by less than
-    convergence_tol. Plain coordinate sweeps crawl along the flat valley
-    created by a degenerate top singular value, so every few sweeps (and
-    whenever a start stalls) a secant extrapolation through an earlier
-    snapshot is tried at several step lengths and kept only when it improves
-    the objective; the ascent therefore stays monotone and fully
-    deterministic. Ties between starts resolve to the lowest start index.
+    Each drawn start runs one ascent of the signed mean value; a start with
+    b and b' flipped would only mirror it (see the module docstring), so the
+    returned settings have signed value +best_value. All ascents run batched,
+    each sweep being three complex block updates (see _block_sweep), with a
+    per-start active mask; a start stops, and its settings freeze, once an
+    iteration improves it by less than convergence_tol. Plain coordinate
+    sweeps crawl along the flat valley created by a degenerate top singular
+    value, so every few sweeps (and whenever a start stalls) a secant
+    extrapolation through an earlier snapshot is tried at several step lengths
+    and kept only when it improves the objective; the ascent therefore stays
+    monotone and fully deterministic. Ties between starts resolve to the
+    lowest start index.
 
     Raises SeesawError when a sweep lowers an active start's objective by more
     than 1e-12, or when the result exceeds the singular-value bound
@@ -191,16 +196,12 @@ def maximize(rho, config: OptimizerConfig | None = None) -> OptimizationResult:
     rng = np.random.Generator(np.random.PCG64(int(cfg.seed)))
 
     n = cfg.starts
-    starts = _draw_directions(rng, n)
-    flipped = starts.copy()
-    flipped[:, 2:4] *= -1.0
-    # First half the + branch, second half the - branch.
-    settings = _to_pairs(np.concatenate([starts, flipped]))
+    settings = _to_pairs(_draw_directions(rng, n))
 
     values = _values(blocks, settings)
-    active = np.ones(2 * n, dtype=bool)
-    converged = np.zeros(2 * n, dtype=bool)
-    iterations = np.full(2 * n, cfg.max_iterations, dtype=int)
+    active = np.ones(n, dtype=bool)
+    converged = np.zeros(n, dtype=bool)
+    iterations = np.full(n, cfg.max_iterations, dtype=int)
     snapshot = settings.copy()
     for sweep in range(1, cfg.max_iterations + 1):
         settings, new_values = _block_sweep(blocks, settings, active)
@@ -231,13 +232,8 @@ def maximize(rho, config: OptimizerConfig | None = None) -> OptimizationResult:
         if not active.any():
             break
 
-    settings = _from_pairs(settings)
-    plus_wins = values[:n] >= values[n:]
-    per_start = np.where(plus_wins, values[:n], values[n:])
-    winner = np.where(plus_wins, np.arange(n), np.arange(n, 2 * n))
-    best_start = int(np.argmax(per_start))
-    best_index = int(winner[best_start])
-    best_value = float(per_start[best_start])
+    best = int(np.argmax(values))
+    best_value = float(values[best])
 
     if not best_value <= state.q_bound + _BOUND_SLACK:
         raise SeesawError(
@@ -245,8 +241,8 @@ def maximize(rho, config: OptimizerConfig | None = None) -> OptimizationResult:
         )
     return OptimizationResult(
         best_value=best_value,
-        best_settings=MeasurementSettings.from_matrix(settings[best_index]),
-        iterations_used=int(iterations[best_index]),
-        converged=bool(converged[best_index]),
-        per_start_values=tuple(float(v) for v in per_start),
+        best_settings=MeasurementSettings.from_matrix(_from_pairs(settings)[best]),
+        iterations_used=int(iterations[best]),
+        converged=bool(converged[best]),
+        per_start_values=tuple(float(v) for v in values),
     )

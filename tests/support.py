@@ -1,5 +1,5 @@
 """Shared helpers for the test suite: seeded random states and settings, reference
-observables, call counters.
+observables, call counters, the in-process CLI exit code.
 
 pytest does not rewrite assert statements in this module, so python -O would
 strip them; helpers here raise instead (test_support_holds_no_assert).
@@ -11,8 +11,17 @@ import sys
 import numpy as np
 
 from svetbound import MeasurementSettings, pauli, unit_vector
+from svetbound.cli import main
 
 GHZ_OPTIMUM = 4.0 * np.sqrt(2.0)
+
+
+def exit_code(*argv):
+    """In-process CLI main; usage errors raised by the parser come back as their exit code."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
 
 
 def count_calls(monkeypatch, qualnames):

@@ -35,7 +35,7 @@ from svetbound import (
 )
 from svetbound.cli import read_state_file, write_state_file
 
-from support import biseparable_state, random_density, random_settings, rng
+from support import biseparable_state, exit_code, random_density, random_settings, rng
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GHZ_OPT = 4.0 * np.sqrt(2.0)
@@ -178,7 +178,9 @@ def test_criterion_8_gme_chain():
     _passed(8, "GME chain inequality and GHZ value 0.207107")
 
 
-def test_criterion_9_determinism_and_io(tmp_path):
+def test_criterion_9_determinism_and_io(tmp_path, capsys):
+    # Only the cross-process repeats need fresh processes; the exit-code and
+    # round-trip checks run main in-process.
     def run_cli(*args):
         return subprocess.run(
             [sys.executable, "-m", "svetbound", *args], capture_output=True, text=True
@@ -201,16 +203,17 @@ def test_criterion_9_determinism_and_io(tmp_path):
     write_state_file(state_path, rho)
     assert np.array_equal(read_state_file(state_path), np.asarray(rho, dtype=complex))
 
-    assert run_cli("bound").returncode == 1  # usage
+    assert exit_code("bound") == 1  # usage
     bad = np.zeros((8, 8), dtype=complex)
     bad[0, 0] = 2.0
     bad_path = tmp_path / "bad.json"
     write_state_file(bad_path, bad)
-    proc = run_cli("bound", "--state", str(bad_path))
-    assert proc.returncode == 2 and "residual" in proc.stderr
-    assert run_cli("scan", "--family", "ghz-color", "--ps", "0.5",
-                   "--out", str(tmp_path / "no" / "dir.csv")).returncode == 3
-    ok = run_cli("gme", "--state", str(state_path))
-    assert ok.returncode == 0
-    assert json.loads(ok.stdout)["result"]["hs_norm_sq"] >= 0.0
+    capsys.readouterr()
+    assert exit_code("bound", "--state", str(bad_path)) == 2
+    assert "residual" in capsys.readouterr().err
+    assert exit_code("scan", "--family", "ghz-color", "--ps", "0.5",
+                     "--out", str(tmp_path / "no" / "dir.csv")) == 3
+    capsys.readouterr()
+    assert exit_code("gme", "--state", str(state_path)) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["hs_norm_sq"] >= 0.0
     _passed(9, "byte-identical reruns, exact round-trip, exit-code contract")

@@ -15,7 +15,7 @@ import svetbound.seesaw
 from svetbound import OptimizerConfig, maximize
 from svetbound.cli import main, read_state_file, state_payload, write_state_file
 
-from support import random_density, rng
+from support import exit_code, random_density, rng
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GHZ_FLAGS = ["--family", "ghz-white", "--theta", "0.785398", "--theta3", "1.570796"]
@@ -37,14 +37,6 @@ def run_cli(*args):
         capture_output=True,
         text=True,
     )
-
-
-def exit_code(*argv):
-    """In-process main; usage errors raised by the parser come back as their exit code."""
-    try:
-        return main(list(argv))
-    except SystemExit as exc:
-        return exc.code
 
 
 @pytest.fixture
@@ -427,6 +419,20 @@ class TestExitCodes:
         assert err.startswith("usage: svetbound threshold ")
         assert "ghz-white requires --theta and --theta3" in err
 
+    @pytest.mark.parametrize("subcommand", ["bound", "optimize", "threshold", "certify", "gme"])
+    def test_degrees_with_ghz_color_is_a_usage_error(self, subcommand, monkeypatch, capsys):
+        # ghz-color takes no angles, so --degrees is refused as --theta is; scan's
+        # case is in test_scan_family_grid_rules.
+        flags = ["--family", "ghz-color"] + ([] if subcommand == "threshold" else ["--p", "1"])
+        assert exit_code(subcommand, *flags) == 0
+        capsys.readouterr()
+        for name in ("realize", "violation_threshold"):
+            monkeypatch.setattr(svetbound.cli, name, _no_work)
+        assert exit_code(subcommand, *flags, "--degrees") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: svetbound {subcommand} ")
+        assert "ghz-color takes no --theta, --theta3 or --degrees" in err
+
     def test_grid_count_above_cap(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(svetbound.cli, "scan", _no_work)
         ps = f"0:1:{svetbound.families.MAX_SCAN_ROWS + 1}"
@@ -453,7 +459,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "family, grids, message",
         [("ghz-white", ["--thetas", "0.5"], "ghz-white requires theta and theta3 grids"),
-         ("ghz-color", ["--theta3s", ""], "ghz-color takes no angle grids")],
+         ("ghz-color", ["--theta3s", ""], "ghz-color takes no angle grids"),
+         ("ghz-color", ["--degrees"], "ghz-color takes no --degrees")],
     )
     def test_scan_family_grid_rules(self, family, grids, message, tmp_path, capsys):
         out_path = tmp_path / "x.csv"

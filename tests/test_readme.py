@@ -1,9 +1,13 @@
-"""The README's library example runs against the current API, and every literal
-it quotes in a comment is the value the current code gives."""
+"""The README's library example runs against the current API, every literal it
+quotes in a comment is the value the current code gives, and each of its
+command lines exits 0."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
+
+from svetbound.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -40,3 +44,28 @@ def test_quoted_values_match():
                 assert isinstance(value, float) and repr(value) == literal, (match[0], value)
             checked += 1
     assert checked, "the README's python example quotes no values"
+
+
+def _command_lines():
+    # The sh block of svetbound command lines, with backslash continuations joined.
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+    lines = [
+        shlex.split(line)
+        for block in blocks
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("svetbound ")
+    ]
+    assert lines, "README.md quotes no svetbound command lines"
+    return lines
+
+
+def test_command_lines_run(tmp_path, capsys):
+    lines = _command_lines()
+    assert {line[1] for line in lines} == {"bound", "optimize", "threshold", "scan", "certify", "gme"}
+    for line in lines:
+        argv = line[1:]
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            argv[at] = str(tmp_path / argv[at])
+        assert main(argv) == 0, (line, capsys.readouterr().err)
+    assert (tmp_path / "scan.csv").exists()

@@ -171,6 +171,38 @@ class TestBlockKernel:
         expected = [svetlichny_value(rho, s) for s in settings]
         assert np.max(np.abs(values - expected)) <= 1e-12
 
+    def test_flipped_b_pair_mirrors_the_sweep(self):
+        # Flipping b, b' negates the value; one sweep later the flipped start
+        # holds (-a, -a', -b, -b', c, c') of the unflipped one with the same
+        # value, so maximize needs only one ascent per start.
+        gen = rng(408)
+        for _ in range(10):
+            blocks = svetbound.seesaw._blocks(np.asarray(correlation_tensor(random_density(gen))))
+            drawn = random_settings(gen).as_matrix()
+            flipped = drawn * np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0])[:, None]
+            pairs = svetbound.seesaw._to_pairs(np.stack([drawn, flipped]))
+            active = np.ones(2, dtype=bool)
+            updated, values = svetbound.seesaw._block_sweep(blocks, pairs, active)
+            plain, mirrored = svetbound.seesaw._from_pairs(updated)
+            assert values[0] == values[1]
+            sign = np.array([-1.0, -1.0, -1.0, -1.0, 1.0, 1.0])[:, None]
+            assert np.array_equal(mirrored, sign * plain)
+
+    def test_one_row_per_start(self, monkeypatch):
+        widths = []
+        real = svetbound.seesaw._block_sweep
+
+        def recording(blocks, p, active):
+            widths.append((len(p), len(active)))
+            return real(blocks, p, active)
+
+        monkeypatch.setattr(svetbound.seesaw, "_block_sweep", recording)
+        rho = random_density(rng(409), max_rank=4)
+        for starts in (1, 7):
+            widths.clear()
+            maximize(rho, OptimizerConfig(starts=starts, seed=1))
+            assert widths and set(widths) == {(starts, starts)}
+
     def test_frozen_per_start_values(self):
         rho = random_density(rng(606), max_rank=4)
         result = maximize(rho, OptimizerConfig(starts=8, seed=606))

@@ -23,7 +23,6 @@ CERTIFIED_NO_VIOLATION = "CertifiedNoViolation"
 INCONCLUSIVE = "Inconclusive"
 
 VIOLATION_MARGIN = 1e-9
-DEFAULT_CERTIFICATE_TOL = 1e-6
 
 _RANK_ONE_RTOL = 1e-6
 _TINY_NORM = 1e-12
@@ -64,12 +63,7 @@ class BoundReport:
     certificate: Certificate | None = None
 
 
-def quantum_bound(
-    rho,
-    config: OptimizerConfig | None = None,
-    certify: bool = False,
-    certificate_tol: float = DEFAULT_CERTIFICATE_TOL,
-) -> BoundReport:
+def quantum_bound(rho, config: OptimizerConfig | None = None, certify: bool = False) -> BoundReport:
     """Bound 4*lambda1 on |<S>| over all measurement settings, with classification.
 
     CertifiedNoViolation when the bound itself stays at or below 4. Otherwise
@@ -80,11 +74,9 @@ def quantum_bound(
     trace value only to rounding, and where the bound is attained it may lie an
     ulp above q_bound. The see-saw runs only to classify, so at most once and
     never when the bound is at most 4. Pass certify=True to also attach
-    tightness_certificate(rho, certificate_tol), which needs no see-saw and no
-    seed; certificate_tol is then checked before any work.
+    tightness_certificate(rho) at its default tolerance, which needs no see-saw
+    and no seed.
     """
-    if certify and not 0.0 < certificate_tol < np.inf:
-        raise ValueError("certificate_tol must be finite and positive")
     state = analyze(rho)
     optimizer_value = None
     if state.q_bound <= CLASSICAL_BOUND:
@@ -96,11 +88,11 @@ def quantum_bound(
             classification = CERTIFIED_VIOLATION
         else:
             classification = INCONCLUSIVE
-    certificate = tightness_certificate(state, certificate_tol) if certify else None
+    certificate = tightness_certificate(state) if certify else None
     return BoundReport(state.spectrum, state.q_bound, classification, optimizer_value, certificate)
 
 
-def tightness_certificate(rho, tol: float = DEFAULT_CERTIFICATE_TOL) -> Certificate | None:
+def tightness_certificate(rho, tol: float = 1e-6) -> Certificate | None:
     """Measurement settings whose |<S>| reaches 4*lambda1 - tol, or None when the
     bound is not attained.
 

@@ -211,11 +211,7 @@ def _family_params(args, parser: _Parser) -> tuple[GhzClassParams | None, dict]:
         parser.error("ghz-white requires --theta and --theta3")
     if args.degrees:
         theta, theta3 = math.radians(theta), math.radians(theta3)
-    try:
-        params = GhzClassParams(theta, theta3)
-    except ValueError as exc:
-        parser.error(str(exc))
-    return params, {"family": GHZ_WHITE, "theta": theta, "theta3": theta3}
+    return GhzClassParams(theta, theta3), {"family": GHZ_WHITE, "theta": theta, "theta3": theta3}
 
 
 def _resolve_state(args, parser: _Parser) -> tuple[StateAnalysis, str]:
@@ -227,15 +223,12 @@ def _resolve_state(args, parser: _Parser) -> tuple[StateAnalysis, str]:
                 parser.error(f"--{flag} only applies to --family input")
         if args.degrees:
             parser.error("--degrees only applies to --family input")
-        state = analyze(read_state_file(args.state))
-        return state, _digest(state_payload(state.rho))
+        rho = read_state_file(args.state)
+        return analyze(rho), _digest(state_payload(rho))
     if args.p is None:
         parser.error("--family requires --p")
     params, payload = _family_params(args, parser)
-    try:
-        spec = FamilySpec(args.family, args.p, params)
-    except ValueError as exc:
-        parser.error(str(exc))
+    spec = FamilySpec(args.family, args.p, params)
     return analyze(realize(spec)), _digest({**payload, "p": args.p})
 
 
@@ -319,10 +312,7 @@ def _cmd_scan(args, parser):
     ps = _parse_grid(args.ps, parser, "--ps")
     thetas = _parse_grid(args.thetas, parser, "--thetas", args.degrees)
     theta3s = _parse_grid(args.theta3s, parser, "--theta3s", args.degrees)
-    try:
-        rows = scan(args.family, thetas, theta3s, ps)
-    except ValueError as exc:
-        parser.error(str(exc))
+    rows = scan(args.family, thetas, theta3s, ps)
     if args.family == GHZ_WHITE:
         digest = _digest({"family": args.family, "thetas": thetas, "theta3s": theta3s, "ps": ps})
         annotations = {"gme_threshold_literature": GME_THRESHOLD_LITERATURE}
@@ -445,8 +435,8 @@ def main(argv=None) -> int:
         print(f"svetbound: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
-        print(f"svetbound: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        # Every other library ValueError is an input rule the flags broke.
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

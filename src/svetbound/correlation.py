@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import IMAG_RESIDUE_ATOL, _readonly, kron3, pauli, validate_density
+from .qcore import IMAG_RESIDUE_ATOL, _hermitian_part, _readonly, kron3, pauli, validate_density
 
 DEGENERACY_RTOL = 1e-7
 
@@ -97,7 +97,9 @@ class StateAnalysis:
 
     Only rho is given; the rest is derived from it when the object is built, so
     every StateAnalysis holds the tensor of its own rho. correlation_tensor does
-    the validation, and rho is kept as a read-only complex copy.
+    the validation, and rho is kept as the Hermitian part (rho + rho^dagger)/2
+    that validation returns and the tensor is computed from, read-only; for an
+    exactly Hermitian input that is the input bit for bit.
     """
 
     rho: np.ndarray
@@ -108,7 +110,7 @@ class StateAnalysis:
     def __post_init__(self):
         tensor = correlation_tensor(self.rho)
         matrix = unfold(tensor)
-        object.__setattr__(self, "rho", _readonly(np.asarray(self.rho, dtype=complex)))
+        object.__setattr__(self, "rho", _hermitian_part(np.asarray(self.rho, dtype=complex)))
         object.__setattr__(self, "tensor", tensor)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "spectrum", singular_spectrum(matrix))

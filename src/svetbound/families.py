@@ -1,4 +1,4 @@
-"""Noisy GHZ-class state families: states, analytic spectra, violation thresholds,
+"""Noisy GHZ-class state families: states, violation thresholds,
 genuine-multipartite-entanglement lower bounds, and grid scans."""
 
 from __future__ import annotations
@@ -102,22 +102,6 @@ def realize(spec: FamilySpec) -> np.ndarray:
         noise = np.kron(np.eye(2), np.diag([1.0, 0.0, 0.0, 1.0])).astype(complex)
         rho = rho + (1.0 - spec.p) / 4.0 * noise
     return _readonly(rho)
-
-
-def analytic_singular_values(params: GhzClassParams, p: float) -> tuple[float, float, float]:
-    """Closed-form singular values of the white-noised GHZ-class unfolding, descending.
-
-    The degenerate pair is p |sin(2 theta)| sqrt(1 + sin^2(theta3)); the third
-    value is p sqrt(1 - sin^2(2 theta) sin^2(theta3)), consistent with the
-    diagonal correlation entry cos^2(theta) + sin^2(theta) cos(2 theta3).
-    """
-    _check_weight(p)
-    sin_two_theta = math.sin(2.0 * params.theta)
-    sin_theta3 = math.sin(params.theta3)
-    pair = p * abs(sin_two_theta) * math.sqrt(1.0 + sin_theta3 * sin_theta3)
-    third = p * math.sqrt(max(0.0, 1.0 - sin_two_theta**2 * sin_theta3**2))
-    values = sorted((pair, pair, third), reverse=True)
-    return (values[0], values[1], values[2])
 
 
 @dataclass(frozen=True)

@@ -111,14 +111,25 @@ TRACE_NOT_ONE = "trace_not_one"
 NOT_POSITIVE_SEMIDEFINITE = "not_positive_semidefinite"
 
 
+def _hermitian_part(rho: np.ndarray) -> np.ndarray:
+    """(rho + rho^dagger)/2 as a new read-only array; bit for bit rho when rho is exactly Hermitian."""
+    out = (rho + rho.conj().T) / 2.0
+    out.setflags(write=False)
+    return out
+
+
 def validate_density(raw) -> np.ndarray:
-    """Validate an 8x8 three-qubit density matrix; returns a read-only complex copy.
+    """Validate an 8x8 three-qubit density matrix; returns its Hermitian part
+    (rho + rho^dagger)/2, read-only.
 
     Checks Hermiticity (atol 1e-9), unit trace (atol 1e-9) and positive
     semidefiniteness (eigenvalue floor -1e-9). Raises StateValidationError
     listing every violated invariant with its residual. The PSD check runs on
-    the Hermitized matrix (rho + rho^dagger)/2 so it stays independent of the
-    Hermiticity check.
+    the Hermitian part so it stays independent of the Hermiticity check. The
+    Hermitian part is what every later trace reads: an anti-Hermitian residue
+    the check tolerates would otherwise add up inside traces into an imaginary
+    part that the expectation and correlation checks reject. For an exactly
+    Hermitian input it equals the input bit for bit.
     """
     rho = np.asarray(raw, dtype=complex)
     if rho.shape != (8, 8):
@@ -132,12 +143,13 @@ def validate_density(raw) -> np.ndarray:
     trace_dev = float(abs(complex(np.trace(rho)) - 1.0))
     if trace_dev > TRACE_ATOL:
         violations.append(InvariantViolation(TRACE_NOT_ONE, trace_dev))
-    lowest = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
+    hermitian = _hermitian_part(rho)
+    lowest = float(np.linalg.eigvalsh(hermitian)[0])
     if lowest < EIGENVALUE_FLOOR:
         violations.append(InvariantViolation(NOT_POSITIVE_SEMIDEFINITE, -lowest))
     if violations:
         raise StateValidationError(violations)
-    return _readonly(rho)
+    return hermitian
 
 
 def pure_state(amplitudes) -> np.ndarray:

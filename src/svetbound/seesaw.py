@@ -31,6 +31,8 @@ from .svetlichny import MeasurementSettings
 
 #: Largest start count OptimizerConfig accepts; maximize holds every start's settings in memory at once.
 MAX_STARTS = 10_000
+#: Sweeps a start runs at most before maximize stops it unconverged.
+MAX_SWEEPS = 500
 
 _MIN_COEFF_NORM = 1e-14
 _BOUND_SLACK = 1e-7
@@ -45,20 +47,18 @@ class SeesawError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the multistart see-saw: start count, sweep cap, stop tolerance, seed."""
+    """Knobs for the multistart see-saw: start count, stop tolerance, seed. Every
+    start runs at most MAX_SWEEPS sweeps."""
 
     starts: int = 50
-    max_iterations: int = 500
     convergence_tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
-        if not all(isinstance(v, (int, np.integer)) for v in (self.starts, self.max_iterations, self.seed)):
-            raise ValueError("starts, max_iterations and seed must be integers")
+        if not all(isinstance(v, (int, np.integer)) for v in (self.starts, self.seed)):
+            raise ValueError("starts and seed must be integers")
         if not 1 <= self.starts <= MAX_STARTS:
             raise ValueError(f"starts must lie in [1, {MAX_STARTS}]")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
         if not 0.0 < self.convergence_tol < np.inf:
             raise ValueError("convergence_tol must be finite and positive")
         if not 0 <= self.seed < 2**64:
@@ -178,13 +178,13 @@ def maximize(rho, config: OptimizerConfig | None = None) -> OptimizationResult:
     returned settings have signed value +best_value. All ascents run batched,
     each sweep being three complex block updates (see _block_sweep), with a
     per-start active mask; a start stops, and its settings freeze, once an
-    iteration improves it by less than convergence_tol. Plain coordinate
-    sweeps crawl along the flat valley created by a degenerate top singular
-    value, so every few sweeps (and whenever a start stalls) a secant
-    extrapolation through an earlier snapshot is tried at several step lengths
-    and kept only when it improves the objective; the ascent therefore stays
-    monotone and fully deterministic. Ties between starts resolve to the
-    lowest start index.
+    iteration improves it by less than convergence_tol, or after MAX_SWEEPS
+    sweeps. Plain coordinate sweeps crawl along the flat valley created by a
+    degenerate top singular value, so every few sweeps (and whenever a start
+    stalls) a secant extrapolation through an earlier snapshot is tried at
+    several step lengths and kept only when it improves the objective; the
+    ascent therefore stays monotone and fully deterministic. Ties between
+    starts resolve to the lowest start index.
 
     Raises SeesawError when a sweep lowers an active start's objective by more
     than 1e-12, or when the result exceeds the singular-value bound
@@ -201,9 +201,9 @@ def maximize(rho, config: OptimizerConfig | None = None) -> OptimizationResult:
     values = _values(blocks, settings)
     active = np.ones(n, dtype=bool)
     converged = np.zeros(n, dtype=bool)
-    iterations = np.full(n, cfg.max_iterations, dtype=int)
+    iterations = np.full(n, MAX_SWEEPS, dtype=int)
     snapshot = settings.copy()
-    for sweep in range(1, cfg.max_iterations + 1):
+    for sweep in range(1, MAX_SWEEPS + 1):
         settings, new_values = _block_sweep(blocks, settings, active)
         if not np.all(new_values[active] >= values[active] - 1e-12):
             raise SeesawError(f"see-saw objective decreased in sweep {sweep}")

@@ -61,20 +61,3 @@ def svetlichny_value(rho, settings: MeasurementSettings) -> float:
     """
     rho = rho.rho if isinstance(rho, StateAnalysis) else validate_density(rho)
     return expectation(rho, build_operator(settings))
-
-
-def bilinear_value(matrix, settings: MeasurementSettings) -> float:
-    """Svetlichny mean value evaluated against the 3x9 correlation unfolding.
-
-    Computes (b+b') . M (a(x)c - a'(x)c') + (b-b') . M (a(x)c' + a'(x)c), which
-    equals svetlichny_value whenever matrix is the unfolding of the state's
-    correlation tensor.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.shape != (3, 9):
-        raise ValueError(f"expected a 3x9 matrix, got shape {m.shape}")
-    s = settings
-    u = np.kron(s.a, s.c) - np.kron(s.a_prime, s.c_prime)
-    v = np.kron(s.a, s.c_prime) + np.kron(s.a_prime, s.c)
-    return float((s.b + s.b_prime) @ (m @ u) + (s.b - s.b_prime) @ (m @ v))
-

@@ -1,11 +1,12 @@
 """Shared helpers for the test suite: seeded random states and settings, reference
-observables, call counters, the in-process CLI exit code.
+observables and formulas, call counters, the in-process CLI exit code.
 
 pytest does not rewrite assert statements in this module, so python -O would
 strip them; helpers here raise instead (test_support_holds_no_assert).
 """
 
 import collections
+import math
 import sys
 
 import numpy as np
@@ -58,6 +59,36 @@ def observable(g):
     """Spin observable g . sigma for a unit direction g: the reference for build_operator."""
     g = unit_vector(g)
     return g[0] * pauli(1) + g[1] * pauli(2) + g[2] * pauli(3)
+
+
+def bilinear_value(matrix, settings):
+    """Svetlichny mean value evaluated against the 3x9 correlation unfolding:
+    (b+b') . M (a(x)c - a'(x)c') + (b-b') . M (a(x)c' + a'(x)c), which equals
+    svetlichny_value whenever matrix is the unfolding of the state's tensor."""
+    m = np.asarray(matrix, dtype=float)
+    if m.shape != (3, 9):
+        raise ValueError(f"expected a 3x9 matrix, got shape {m.shape}")
+    s = settings
+    u = np.kron(s.a, s.c) - np.kron(s.a_prime, s.c_prime)
+    v = np.kron(s.a, s.c_prime) + np.kron(s.a_prime, s.c)
+    return float((s.b + s.b_prime) @ (m @ u) + (s.b - s.b_prime) @ (m @ v))
+
+
+def analytic_singular_values(params, p):
+    """Closed-form singular values of the white-noised GHZ-class unfolding, descending.
+
+    The degenerate pair is p |sin(2 theta)| sqrt(1 + sin^2(theta3)); the third
+    value is p sqrt(1 - sin^2(2 theta) sin^2(theta3)), consistent with the
+    diagonal correlation entry cos^2(theta) + sin^2(theta) cos(2 theta3).
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p!r}")
+    sin_two_theta = math.sin(2.0 * params.theta)
+    sin_theta3 = math.sin(params.theta3)
+    pair = p * abs(sin_two_theta) * math.sqrt(1.0 + sin_theta3 * sin_theta3)
+    third = p * math.sqrt(max(0.0, 1.0 - sin_two_theta**2 * sin_theta3**2))
+    values = sorted((pair, pair, third), reverse=True)
+    return (values[0], values[1], values[2])
 
 
 def random_pure(gen):

@@ -19,8 +19,6 @@ from svetbound import (
     GHZ_WHITE,
     GhzClassParams,
     OptimizerConfig,
-    analytic_singular_values,
-    bilinear_value,
     correlation_tensor,
     ghz_state,
     gme_lower_bound,
@@ -35,7 +33,15 @@ from svetbound import (
 )
 from svetbound.cli import read_state_file, write_state_file
 
-from support import biseparable_state, exit_code, random_density, random_settings, rng
+from support import (
+    analytic_singular_values,
+    bilinear_value,
+    biseparable_state,
+    exit_code,
+    random_density,
+    random_settings,
+    rng,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GHZ_OPT = 4.0 * np.sqrt(2.0)

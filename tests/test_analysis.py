@@ -1,14 +1,21 @@
 """StateAnalysis: one validation, tensor and spectrum per request, shared by every layer."""
 
+import json
+
 import numpy as np
 import pytest
 
+import svetbound.cli
 from svetbound import (
+    CERTIFIED_NO_VIOLATION,
+    CERTIFIED_VIOLATION,
     GHZ_COLOR,
     FamilySpec,
     OptimizerConfig,
     StateValidationError,
     correlation_tensor,
+    ghz_state,
+    pure_to_density,
     quantum_bound,
     realize,
     singular_spectrum,
@@ -16,7 +23,7 @@ from svetbound import (
     unfold,
     validate_density,
 )
-from svetbound.cli import main, write_state_file
+from svetbound.cli import main, read_state_file, state_payload, write_state_file
 from svetbound.correlation import StateAnalysis, analyze
 
 from support import count_calls, random_density, rng
@@ -116,6 +123,67 @@ def test_cli_validates_each_state_once(calls, argv, validations, tmp_path, capsy
         argv = [*argv, "--out", str(tmp_path / "scan.csv")]
     assert main(argv) == 0
     assert calls["validate_density"] == validations
+
+
+def _mixed_with_two_residues():
+    # I/8 with anti-Hermitian residues of 0.9e-9 at (0, 1) and (2, 3), under the
+    # 1e-9 Hermiticity tolerance; taken raw, they add up to an imaginary part of
+    # 1.8e-9 in a correlation entry.
+    rho = np.eye(8, dtype=complex) / 8.0
+    rho[0, 1] = 0.9e-9j
+    rho[2, 3] = -0.9e-9j
+    return rho
+
+
+def _ghz_with_corner_residue():
+    # The GHZ projector with 0.45e-9j added at (0, 7) and (7, 0): anti-Hermitian
+    # by 0.9e-9, and taken raw, the witness trace gets an imaginary part of 5.1e-9.
+    rho = np.array(pure_to_density(ghz_state()))
+    rho[0, 7] += 0.45e-9j
+    rho[7, 0] += 0.45e-9j
+    return rho
+
+
+@pytest.mark.parametrize(
+    "make_state, classification",
+    [
+        pytest.param(_mixed_with_two_residues, CERTIFIED_NO_VIOLATION, id="mixed-two-residues"),
+        pytest.param(_ghz_with_corner_residue, CERTIFIED_VIOLATION, id="ghz-corner-residue"),
+    ],
+)
+class TestStatesThatPassValidation:
+    """A state that validate_density accepts is analysed from its Hermitian part,
+    so no later trace check can fail on it."""
+
+    def test_analysis_holds_the_hermitian_part(self, make_state, classification):
+        rho = make_state()
+        state = analyze(rho)
+        assert np.array_equal(state.rho, (rho + rho.conj().T) / 2.0)
+        assert np.array_equal(state.rho, state.rho.conj().T)
+        assert np.array_equal(state.rho, validate_density(rho))
+        assert not state.rho.flags.writeable
+        assert np.array_equal(correlation_tensor(rho), state.tensor)
+
+    def test_quantum_bound_certify(self, calls, make_state, classification):
+        rho = make_state()
+        calls.clear()
+        report = quantum_bound(rho, CFG, certify=True)
+        assert report.classification == classification
+        assert report.certificate is not None
+        _assert_once(calls, seesaws=0 if classification == CERTIFIED_NO_VIOLATION else 1)
+
+    def test_cli_exits_zero(self, make_state, classification, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        write_state_file(path, make_state())
+        raw = read_state_file(str(path))
+        # The digest hashes the file's matrix, not its Hermitian part.
+        digest = svetbound.cli._digest(state_payload(raw))
+        assert digest != svetbound.cli._digest(state_payload(analyze(raw).rho))
+        for argv in (["gme", "--state", str(path)], ["bound", "--state", str(path), "--certify", "--starts", "8"]):
+            assert main(argv) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            assert json.loads(out)["input_digest"] == digest
 
 
 class TestAnalyze:

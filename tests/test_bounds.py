@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import svetbound.bounds
+import svetbound.seesaw
 from svetbound import (
     CERTIFIED_NO_VIOLATION,
     CERTIFIED_VIOLATION,
@@ -147,14 +148,6 @@ class TestOneSeesawPerRequest:
             assert report.certificate.achieved == alone.achieved
             assert np.array_equal(report.certificate.settings.as_matrix(), alone.settings.as_matrix())
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0])
-    def test_bad_certificate_tol_rejected_before_seesaw(self, monkeypatch, tol):
-        calls = []
-        monkeypatch.setattr(svetbound.bounds, "maximize", lambda *args: calls.append(args))
-        with pytest.raises(ValueError, match="tol"):
-            quantum_bound(pure_to_density(ghz_state()), CFG, certify=True, certificate_tol=tol)
-        assert calls == []
-
 
 class TestTightnessCertificate:
     def test_white_noise_p08(self):
@@ -203,8 +196,6 @@ class TestTightnessCertificate:
     def test_rejects_non_finite_tol(self, tol):
         with pytest.raises(ValueError):
             tightness_certificate(np.eye(8) / 8.0, tol=tol)
-        with pytest.raises(ValueError):
-            quantum_bound(pure_to_density(ghz_state()), CFG, certify=True, certificate_tol=tol)
 
     def test_zero_bound_state(self):
         cert = tightness_certificate(np.eye(8) / 8.0)
@@ -254,8 +245,9 @@ class TestCertificateRoutes:
         # Degenerate top value, 4*lambda1 = 4.5255; one start and one sweep
         # leave the see-saw witness at 3.7-4.5, below the target. The
         # closed-form subspace certificate attains it without any see-saw.
+        monkeypatch.setattr(svetbound.seesaw, "MAX_SWEEPS", 1)
         rho = realize(FamilySpec(GHZ_WHITE, 0.8, GhzClassParams(np.pi / 4, np.pi / 2)))
-        cfg = OptimizerConfig(starts=1, max_iterations=1, seed=seed)
+        cfg = OptimizerConfig(starts=1, seed=seed)
         lam1 = singular_spectrum(unfold(correlation_tensor(rho))).lambda1
         assert maximize(rho, cfg).best_value < 4.0 * lam1 - 1e-6
         report = quantum_bound(rho, cfg, certify=True)

@@ -413,6 +413,17 @@ class TestExitCodes:
             args = parser.parse_args([subcommand, *SOURCE_FLAGS[subcommand], "--seed", str(seed)])
             assert args.seed == seed
 
+    def test_library_value_error_prints_the_subcommand_usage(self, monkeypatch, capsys):
+        # Every library ValueError reaches the user in one format: the usage error.
+        def boom(state):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(svetbound.cli, "gme_lower_bound", boom)
+        assert exit_code("gme", "--family", "ghz-color", "--p", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: svetbound gme ")
+        assert err.endswith("svetbound gme: error: boom\n")
+
     def test_subcommand_error_prints_the_subcommand_usage(self, capsys):
         assert exit_code("threshold", "--family", "ghz-white") == 1
         err = capsys.readouterr().err

@@ -9,7 +9,6 @@ from svetbound import (
     GHZ_COLOR,
     GHZ_WHITE,
     GhzClassParams,
-    analytic_singular_values,
     correlation_tensor,
     ghz_class_state,
     ghz_state,
@@ -25,7 +24,7 @@ from svetbound import (
 from svetbound.correlation import analyze
 from svetbound.families import MAX_SCAN_ROWS
 
-from support import count_calls
+from support import analytic_singular_values, count_calls
 
 GHZ_PARAMS = GhzClassParams(np.pi / 4, np.pi / 2)
 

@@ -2,17 +2,22 @@ import numpy as np
 import pytest
 
 from svetbound import (
+    GHZ_COLOR,
+    GHZ_WHITE,
+    FamilySpec,
+    GhzClassParams,
     StateValidationError,
     expectation,
     kron3,
     pauli,
     pure_to_density,
+    realize,
     unit_vector,
     validate_density,
 )
 from svetbound.qcore import NOT_HERMITIAN, NOT_POSITIVE_SEMIDEFINITE, TRACE_NOT_ONE
 
-from support import observable, random_pure, rng
+from support import observable, random_density, random_pure, rng
 
 
 def ghz_vector():
@@ -188,6 +193,29 @@ class TestValidateDensity:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             validate_density(np.eye(4) / 4.0)
+
+    def test_exactly_hermitian_input_comes_back_bit_for_bit(self):
+        gen = rng(150)
+        states = [np.eye(8) / 8.0, pure_to_density(ghz_vector())]
+        states += [realize(FamilySpec(GHZ_WHITE, 0.37, GhzClassParams(0.2, 1.1)))]
+        states += [realize(FamilySpec(GHZ_COLOR, 0.5))]
+        # Sums of np.outer products keep an imaginary diagonal of ~1e-19, so the
+        # random mixtures are symmetrized first, as the benchmark's states are.
+        states += [(x + x.conj().T) / 2.0 for x in (random_density(gen) for _ in range(20))]
+        for rho in states:
+            rho = np.asarray(rho, dtype=complex)
+            assert np.array_equal(rho, rho.conj().T)
+            assert validate_density(rho).tobytes() == rho.tobytes()
+
+    def test_returns_the_hermitian_part(self):
+        # An anti-Hermitian residue under the tolerance passes and is dropped.
+        rho = np.eye(8, dtype=complex) / 8.0
+        rho[0, 1] = 0.9e-9j
+        out = validate_density(rho)
+        assert np.array_equal(out, (rho + rho.conj().T) / 2.0)
+        assert out[0, 1] == 0.45e-9j
+        assert np.array_equal(out, out.conj().T)
+        assert not out.flags.writeable
 
 
 class TestPureToDensity:

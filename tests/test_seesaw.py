@@ -13,7 +13,6 @@ from svetbound import (
     MeasurementSettings,
     OptimizerConfig,
     SeesawError,
-    bilinear_value,
     correlation_tensor,
     ghz_state,
     maximize,
@@ -25,7 +24,7 @@ from svetbound import (
 )
 from svetbound.seesaw import MAX_STARTS, _draw_directions
 
-from support import GHZ_OPTIMUM, random_density, random_settings, rng, w_density
+from support import GHZ_OPTIMUM, bilinear_value, random_density, random_settings, rng, w_density
 
 # Frozen see-saw oracle value for the W state, recorded from a 50-start run;
 # seed-to-seed spread is below 1e-12.
@@ -49,22 +48,23 @@ FROZEN_PER_START = (
 class TestOptimizerConfig:
     def test_defaults(self):
         cfg = OptimizerConfig()
+        assert [f.name for f in dataclasses.fields(cfg)] == ["starts", "convergence_tol", "seed"]
         assert cfg.starts == 50
-        assert cfg.max_iterations == 500
         assert cfg.convergence_tol == 1e-10
         assert cfg.seed == 0
+        assert svetbound.seesaw.MAX_SWEEPS == 500
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             dict(starts=0),
-            dict(max_iterations=0),
+            dict(convergence_tol=-1e-3),
             dict(convergence_tol=0.0),
             dict(seed=-1),
             dict(convergence_tol=float("nan")),
             dict(convergence_tol=float("inf")),
             dict(starts=2.5),
-            dict(max_iterations=2.5),
+            dict(seed=2**64),
             dict(seed=1.5),
         ],
     )
@@ -79,7 +79,7 @@ class TestOptimizerConfig:
             OptimizerConfig(starts=MAX_STARTS + 1)
 
     def test_accepts_numpy_integers(self):
-        cfg = OptimizerConfig(starts=np.int32(2), max_iterations=np.int64(3), seed=np.uint64(2**64 - 1))
+        cfg = OptimizerConfig(starts=np.int32(2), seed=np.uint64(2**64 - 1))
         result = maximize(np.eye(8) / 8.0, cfg)
         assert len(result.per_start_values) == 2
 
@@ -124,10 +124,11 @@ class TestRandomSettings:
 
 
 class TestSeesawStep:
-    def test_zero_matrix_fixed(self):
+    def test_zero_matrix_fixed(self, monkeypatch):
         # I/8 has a zero tensor: every coefficient vanishes, so one sweep keeps
         # the first drawn start exactly.
-        result = maximize(np.eye(8) / 8.0, OptimizerConfig(starts=1, seed=403, max_iterations=1))
+        monkeypatch.setattr(svetbound.seesaw, "MAX_SWEEPS", 1)
+        result = maximize(np.eye(8) / 8.0, OptimizerConfig(starts=1, seed=403))
         assert result.best_value == 0.0
         expected = _draw_directions(rng(403), 1)[0]
         assert np.array_equal(result.best_settings.as_matrix(), expected)
@@ -149,12 +150,13 @@ class TestSeesawStep:
 
 
 class TestBlockKernel:
-    def test_sweep_value_matches_trace_and_bilinear_forms(self):
+    def test_sweep_value_matches_trace_and_bilinear_forms(self, monkeypatch):
         # One sweep from one start: the kernel's value against the trace oracle.
+        monkeypatch.setattr(svetbound.seesaw, "MAX_SWEEPS", 1)
         gen = rng(406)
         for seed in range(20):
             rho = random_density(gen)
-            result = maximize(rho, OptimizerConfig(starts=1, seed=seed, max_iterations=1))
+            result = maximize(rho, OptimizerConfig(starts=1, seed=seed))
             updated = result.best_settings
             assert result.best_value == pytest.approx(svetlichny_value(rho, updated), abs=1e-12)
             assert result.best_value == pytest.approx(

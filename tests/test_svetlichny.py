@@ -3,7 +3,6 @@ import pytest
 
 from svetbound import (
     MeasurementSettings,
-    bilinear_value,
     build_operator,
     correlation_tensor,
     kron3,
@@ -11,7 +10,7 @@ from svetbound import (
     unfold,
 )
 
-from support import observable, random_density, random_settings, rng
+from support import bilinear_value, observable, random_density, random_settings, rng
 
 
 class TestMeasurementSettings:

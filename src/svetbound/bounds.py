@@ -23,6 +23,8 @@ CERTIFIED_NO_VIOLATION = "CertifiedNoViolation"
 INCONCLUSIVE = "Inconclusive"
 
 VIOLATION_MARGIN = 1e-9
+#: A certificate's settings must reach |<S>| >= 4*lambda1 - CERTIFICATE_TOL.
+CERTIFICATE_TOL = 1e-6
 
 _RANK_ONE_RTOL = 1e-6
 _TINY_NORM = 1e-12
@@ -74,8 +76,7 @@ def quantum_bound(rho, config: OptimizerConfig | None = None, certify: bool = Fa
     trace value only to rounding, and where the bound is attained it may lie an
     ulp above q_bound. The see-saw runs only to classify, so at most once and
     never when the bound is at most 4. Pass certify=True to also attach
-    tightness_certificate(rho) at its default tolerance, which needs no see-saw
-    and no seed.
+    tightness_certificate(rho), which needs no see-saw and no seed.
     """
     state = analyze(rho)
     optimizer_value = None
@@ -92,9 +93,9 @@ def quantum_bound(rho, config: OptimizerConfig | None = None, certify: bool = Fa
     return BoundReport(state.spectrum, state.q_bound, classification, optimizer_value, certificate)
 
 
-def tightness_certificate(rho, tol: float = 1e-6) -> Certificate | None:
-    """Measurement settings whose |<S>| reaches 4*lambda1 - tol, or None when the
-    bound is not attained.
+def tightness_certificate(rho) -> Certificate | None:
+    """Measurement settings whose |<S>| reaches 4*lambda1 - CERTIFICATE_TOL, or
+    None when the bound is not attained.
 
     rho is a density matrix or a StateAnalysis. Write x = a + i a' and
     y = c + i c'; then u + i v = x (x) y holds u = a(x)c - a'(x)c' and
@@ -110,16 +111,14 @@ def tightness_certificate(rho, tol: float = 1e-6) -> Certificate | None:
     vectors; b = unit(M(u+v)) and b' = unit(M(u-v)) are then optimal. The
     result is deterministic and needs no see-saw and no seed. The settings are
     the certificate only when the independent trace oracle svetlichny_value
-    confirms |<S>| >= 4*lambda1 - tol. tol must be finite and positive.
+    confirms |<S>| >= 4*lambda1 - CERTIFICATE_TOL (1e-6).
     """
-    if not 0.0 < tol < np.inf:
-        raise ValueError("tol must be finite and positive")
     state = analyze(rho)
     settings = _rank_one_settings(state)
     if settings is None:
         return None
     achieved = svetlichny_value(state, settings)
-    if abs(achieved) < state.q_bound - tol:
+    if abs(achieved) < state.q_bound - CERTIFICATE_TOL:
         return None
     return Certificate(settings, achieved, state.q_bound - abs(achieved))
 

@@ -40,7 +40,7 @@ from .families import (
     violation_threshold,
 )
 from .qcore import StateValidationError
-from .seesaw import MAX_STARTS, OptimizerConfig, SeesawError, maximize
+from .seesaw import OptimizerConfig, SeesawError, maximize
 from .svetlichny import MeasurementSettings
 
 EXIT_OK = 0
@@ -102,12 +102,15 @@ def state_from_payload(payload) -> np.ndarray:
         raise StateFormatError("state file is missing the 'matrix' field")
     try:
         arr = np.asarray(payload["matrix"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise StateFormatError(f"state file matrix is not numeric: {exc}") from None
     if arr.shape != (8, 8, 2):
         raise StateFormatError(
             f"state file matrix must be 8x8 entries of [re, im] pairs, got shape {arr.shape}"
         )
+    # numpy would also read strings such as "0.125", true and null as floats.
+    if not all(type(x) in (int, float) for row in payload["matrix"] for pair in row for x in pair):
+        raise StateFormatError("state file matrix entries must be JSON numbers")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -163,34 +166,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _int_in(flag: str, lo: int, hi: int):
-    """argparse type for an integer flag in [lo, hi], so a bad value is a usage error."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"{flag} must be at least {lo}")
-        if value > hi:
-            raise argparse.ArgumentTypeError(f"{flag} must be at most {hi}")
-        return value
-
-    return parse
-
-
-def _tol(text: str) -> float:
-    """argparse type for --tol, a finite positive float, so a bad value is a usage error."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError("--tol must be finite and positive")
-    return value
-
-
 def _certificate_payload(certificate: Certificate) -> dict:
     return {
         "settings": _settings_payload(certificate.settings),
@@ -236,7 +211,7 @@ def _emit(args, digest: str, result: dict) -> int:
     report = {
         "command": list(args.argv),
         "input_digest": digest,
-        "seed": int(args.seed),
+        "seed": args.config.seed,
         "version": __version__,
         "result": result,
     }
@@ -246,8 +221,7 @@ def _emit(args, digest: str, result: dict) -> int:
 
 def _cmd_bound(args, parser):
     state, digest = _resolve_state(args, parser)
-    cfg = OptimizerConfig(starts=args.starts, seed=args.seed)
-    report = quantum_bound(state, cfg, certify=args.certify)
+    report = quantum_bound(state, args.config, certify=args.certify)
     result = {
         "lambda": [report.spectrum.lambda1, report.spectrum.lambda2, report.spectrum.lambda3],
         "q_bound": report.q_bound,
@@ -262,8 +236,7 @@ def _cmd_bound(args, parser):
 
 def _cmd_optimize(args, parser):
     state, digest = _resolve_state(args, parser)
-    cfg = OptimizerConfig(starts=args.starts, seed=args.seed, convergence_tol=args.tol)
-    result = maximize(state, cfg)
+    result = maximize(state, args.config)
     payload = {
         "best_value": result.best_value,
         "best_settings": _settings_payload(result.best_settings),
@@ -293,8 +266,6 @@ def _parse_grid(
         if ":" in text:
             lo, hi, count = text.split(":")
             lo, hi, count = float(lo), float(hi), int(count)
-            if count < 1:
-                raise ValueError("count must be at least 1")
             # scan checks the row count, but a single grid this long is refused before it is built.
             if count > MAX_SCAN_ROWS:
                 raise ValueError(f"count must be at most {MAX_SCAN_ROWS}")
@@ -336,14 +307,14 @@ def _cmd_scan(args, parser):
 
 def _cmd_certify(args, parser):
     state, digest = _resolve_state(args, parser)
-    cfg = OptimizerConfig(starts=args.starts, seed=args.seed)
-    certificate = tightness_certificate(state, args.tol)
+    certificate = tightness_certificate(state)
     q_bound = state.q_bound
     if certificate is not None:
         result = {"q_bound": q_bound, "certificate": _certificate_payload(certificate)}
     else:
         # Without a certificate the see-saw's best value measures how far the bound is from attained.
-        result = {"q_bound": q_bound, "certificate": None, "gap": q_bound - maximize(state, cfg).best_value}
+        best = maximize(state, args.config).best_value
+        result = {"q_bound": q_bound, "certificate": None, "gap": q_bound - best}
     return _emit(args, digest, result)
 
 
@@ -370,10 +341,12 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
     # Parent parsers: each flag is declared once and shared by the subcommands that take it.
+    # --seed and --starts have no default here: main hands the given ones to OptimizerConfig,
+    # which owns their defaults and ranges.
     seed = _Parser(add_help=False)
-    seed.add_argument("--seed", type=_int_in("--seed", 0, 2**64 - 1), default=0)
+    seed.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     starts = _Parser(add_help=False)
-    starts.add_argument("--starts", type=_int_in("--starts", 1, MAX_STARTS), default=50)
+    starts.add_argument("--starts", type=int, default=argparse.SUPPRESS)
     degrees = _Parser(add_help=False)
     degrees.add_argument("--degrees", action="store_true", help="interpret angles in degrees")
     angles = _Parser(add_help=False, parents=[degrees])
@@ -395,8 +368,7 @@ def build_parser() -> _Parser:
     bound = command("bound", _cmd_bound, "singular-value bound 4*lambda1 and classification",
                     source, angles, starts)
     bound.add_argument("--certify", action="store_true", help="also attach a tightness certificate")
-    optimize = command("optimize", _cmd_optimize, "multistart see-saw maximal value", source, angles, starts)
-    optimize.add_argument("--tol", type=_tol, default=1e-10, help="per-sweep convergence tolerance")
+    command("optimize", _cmd_optimize, "multistart see-saw maximal value", source, angles, starts)
     threshold = command("threshold", _cmd_threshold, "critical mixing weight p*", family, angles)
     threshold.add_argument("--method", choices=["closed-form", "bisection"], default="closed-form")
     scan_cmd = command("scan", _cmd_scan, "grid scan to CSV", family, degrees)
@@ -404,8 +376,7 @@ def build_parser() -> _Parser:
     scan_cmd.add_argument("--theta3s", help="grid: comma list or lo:hi:count")
     scan_cmd.add_argument("--ps", required=True, help="grid: comma list or lo:hi:count")
     scan_cmd.add_argument("--out", required=True, metavar="FILE", help="CSV output path")
-    certify = command("certify", _cmd_certify, "settings attaining 4*lambda1, if any", source, angles, starts)
-    certify.add_argument("--tol", type=_tol, default=1e-6, help="certificate tolerance")
+    command("certify", _cmd_certify, "settings attaining 4*lambda1, if any", source, angles, starts)
     command("gme", _cmd_gme, "entanglement concurrence lower bounds", source, angles)
     return parser
 
@@ -418,9 +389,15 @@ def _parser() -> _Parser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = _parser().parse_args(argv)
+    args, unknown = _parser().parse_known_args(argv)
+    if unknown:
+        # Reported by the subcommand's parser, as every other usage error is.
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     args.argv = argv
     try:
+        # Built before any work, so a bad --seed or --starts is a usage error found first.
+        given = {name: value for name, value in vars(args).items() if name in ("starts", "seed")}
+        args.config = OptimizerConfig(**given)
         return args.func(args, args.parser)
     except StateValidationError as exc:
         print(f"svetbound: state validation failed: {exc}", file=sys.stderr)

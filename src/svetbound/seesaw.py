@@ -33,6 +33,8 @@ from .svetlichny import MeasurementSettings
 MAX_STARTS = 10_000
 #: Sweeps a start runs at most before maximize stops it unconverged.
 MAX_SWEEPS = 500
+#: A start stops once an iteration improves its value by less than this.
+CONVERGENCE_TOL = 1e-10
 
 _MIN_COEFF_NORM = 1e-14
 _BOUND_SLACK = 1e-7
@@ -47,20 +49,18 @@ class SeesawError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the multistart see-saw: start count, stop tolerance, seed. Every
-    start runs at most MAX_SWEEPS sweeps."""
+    """Knobs for the multistart see-saw: start count and seed. Every start stops
+    at CONVERGENCE_TOL or after MAX_SWEEPS sweeps."""
 
     starts: int = 50
-    convergence_tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
-        if not all(isinstance(v, (int, np.integer)) for v in (self.starts, self.seed)):
+        values = (self.starts, self.seed)
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values):
             raise ValueError("starts and seed must be integers")
         if not 1 <= self.starts <= MAX_STARTS:
             raise ValueError(f"starts must lie in [1, {MAX_STARTS}]")
-        if not 0.0 < self.convergence_tol < np.inf:
-            raise ValueError("convergence_tol must be finite and positive")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
@@ -178,7 +178,7 @@ def maximize(rho, config: OptimizerConfig | None = None) -> OptimizationResult:
     returned settings have signed value +best_value. All ascents run batched,
     each sweep being three complex block updates (see _block_sweep), with a
     per-start active mask; a start stops, and its settings freeze, once an
-    iteration improves it by less than convergence_tol, or after MAX_SWEEPS
+    iteration improves it by less than CONVERGENCE_TOL, or after MAX_SWEEPS
     sweeps. Plain coordinate sweeps crawl along the flat valley created by a
     degenerate top singular value, so every few sweeps (and whenever a start
     stalls) a secant extrapolation through an earlier snapshot is tried at
@@ -207,7 +207,7 @@ def maximize(rho, config: OptimizerConfig | None = None) -> OptimizationResult:
         settings, new_values = _block_sweep(blocks, settings, active)
         if not np.all(new_values[active] >= values[active] - 1e-12):
             raise SeesawError(f"see-saw objective decreased in sweep {sweep}")
-        attempt = active & (new_values - values < cfg.convergence_tol)
+        attempt = active & (new_values - values < CONVERGENCE_TOL)
         if sweep % _EXTRAPOLATION_PERIOD == 0:
             attempt = attempt | active
         if attempt.any():
@@ -225,7 +225,7 @@ def maximize(rho, config: OptimizerConfig | None = None) -> OptimizationResult:
         improved = new_values - values
         values = np.where(active, new_values, values)
         # A start stops only after an extrapolation attempt failed to rescue it.
-        stopped = attempt & (improved < cfg.convergence_tol)
+        stopped = attempt & (improved < CONVERGENCE_TOL)
         iterations[stopped] = sweep
         converged[stopped] = True
         active &= ~stopped

@@ -362,7 +362,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_bad_tol_checked_before_the_state_is_read(self, tol, tmp_path, capsys):
-        # The state alone would exit 2; the tolerance is a usage error found first.
+        # Both tolerances are library constants, so --tol is an unrecognized
+        # argument; the state alone would exit 2, and the flag is refused first.
         bad = np.zeros((8, 8), dtype=complex)
         bad[0, 0] = 2.0
         path = tmp_path / "bad.json"
@@ -373,7 +374,7 @@ class TestExitCodes:
             assert exit_code(subcommand, "--state", str(path), "--tol", tol) == 1
             err = capsys.readouterr().err
             assert err.startswith(f"usage: svetbound {subcommand} ")
-            assert "--tol must be finite and positive" in err
+            assert err.endswith(f"svetbound {subcommand}: error: unrecognized arguments: --tol {tol}\n")
 
     @pytest.mark.parametrize("subcommand", ["bound", "optimize", "certify"])
     def test_starts_above_cap(self, subcommand, monkeypatch, capsys):
@@ -382,7 +383,7 @@ class TestExitCodes:
         assert exit_code(subcommand, *GHZ_FLAGS, "--p", "1", "--starts", starts) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"usage: svetbound {subcommand} ")
-        assert "--starts must be at most" in err
+        assert err.endswith(f"svetbound {subcommand}: error: starts must lie in [1, 10000]\n")
 
     @pytest.mark.parametrize("subcommand", ["bound", "optimize", "certify"])
     def test_starts_below_one(self, subcommand, monkeypatch, capsys):
@@ -390,12 +391,13 @@ class TestExitCodes:
         assert exit_code(subcommand, *GHZ_FLAGS, "--p", "1", "--starts", "0") == 1
         err = capsys.readouterr().err
         assert err.startswith(f"usage: svetbound {subcommand} ")
-        assert "--starts must be at least 1" in err
+        assert err.endswith(f"svetbound {subcommand}: error: starts must lie in [1, 10000]\n")
 
     @pytest.mark.parametrize("subcommand", list(SOURCE_FLAGS))
     @pytest.mark.parametrize(
         "seed, message",
-        [("-1", "--seed must be at least 0"), (str(2**64), "--seed must be at most"),
+        [("-1", "seed must fit in an unsigned 64-bit integer"),
+         (str(2**64), "seed must fit in an unsigned 64-bit integer"),
          ("1.5", "invalid int value: '1.5'")],
     )
     def test_bad_seed_is_a_usage_error(self, subcommand, seed, message, monkeypatch, capsys):
@@ -407,11 +409,11 @@ class TestExitCodes:
         assert message in err
 
     @pytest.mark.parametrize("subcommand", list(SOURCE_FLAGS))
-    def test_seed_range_ends_are_accepted(self, subcommand):
-        parser = svetbound.cli.build_parser()
+    def test_seed_range_ends_are_accepted(self, subcommand, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # scan writes its CSV to the working directory
         for seed in (0, 2**64 - 1):
-            args = parser.parse_args([subcommand, *SOURCE_FLAGS[subcommand], "--seed", str(seed)])
-            assert args.seed == seed
+            assert exit_code(subcommand, *SOURCE_FLAGS[subcommand], "--seed", str(seed)) == 0
+            assert json.loads(capsys.readouterr().out)["seed"] == seed
 
     def test_library_value_error_prints_the_subcommand_usage(self, monkeypatch, capsys):
         # Every library ValueError reaches the user in one format: the usage error.
@@ -481,10 +483,29 @@ class TestExitCodes:
         assert message in err
         assert not out_path.exists()
 
+    def test_empty_grid_is_a_usage_error(self, tmp_path, capsys):
+        out_path = tmp_path / "x.csv"
+        assert exit_code("scan", "--family", "ghz-color", "--ps", "0:1:0", "--out", str(out_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: svetbound scan ")
+        assert err.endswith("svetbound scan: error: p grid must be nonempty\n")
+        assert not out_path.exists()
+
     def test_wrong_schema(self, tmp_path, capsys):
         path = tmp_path / "schema.json"
         path.write_text(json.dumps({"dim": 4, "matrix": []}))
         assert exit_code("bound", "--state", str(path)) == 2
+
+    @pytest.mark.parametrize("entry", ["0.125", True, None, 10**400])
+    def test_matrix_entry_that_is_no_float_is_a_bad_state_file(self, entry, tmp_path, capsys):
+        # The maximally mixed state with one entry a JSON string, boolean or null,
+        # or an integer too large for a float.
+        payload = state_payload(np.eye(8) / 8.0)
+        payload["matrix"][0][0][0] = entry
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(payload))
+        assert exit_code("gme", "--state", str(path)) == 2
+        assert capsys.readouterr().err.startswith("svetbound: bad state file: ")
 
 
 class TestParser:

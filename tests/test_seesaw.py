@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import svetbound.bounds
 import svetbound.seesaw
 from svetbound import (
     FamilySpec,
@@ -48,27 +49,29 @@ FROZEN_PER_START = (
 class TestOptimizerConfig:
     def test_defaults(self):
         cfg = OptimizerConfig()
-        assert [f.name for f in dataclasses.fields(cfg)] == ["starts", "convergence_tol", "seed"]
+        assert [f.name for f in dataclasses.fields(cfg)] == ["starts", "seed"]
         assert cfg.starts == 50
-        assert cfg.convergence_tol == 1e-10
         assert cfg.seed == 0
+        assert svetbound.seesaw.CONVERGENCE_TOL == 1e-10
         assert svetbound.seesaw.MAX_SWEEPS == 500
+        assert svetbound.bounds.CERTIFICATE_TOL == 1e-6
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             dict(starts=0),
-            dict(convergence_tol=-1e-3),
-            dict(convergence_tol=0.0),
+            dict(starts=True),
+            dict(seed=False),
             dict(seed=-1),
-            dict(convergence_tol=float("nan")),
-            dict(convergence_tol=float("inf")),
+            dict(seed=True),
+            dict(starts=np.True_),
             dict(starts=2.5),
             dict(seed=2**64),
             dict(seed=1.5),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
+        # bool is an int subclass, so it is refused by name: maximize would fail on it later.
         with pytest.raises(ValueError):
             OptimizerConfig(**kwargs)
 
@@ -133,9 +136,10 @@ class TestSeesawStep:
         expected = _draw_directions(rng(403), 1)[0]
         assert np.array_equal(result.best_settings.as_matrix(), expected)
 
-    def test_optimal_settings_are_fixed_point(self):
+    def test_optimal_settings_are_fixed_point(self, monkeypatch):
+        monkeypatch.setattr(svetbound.seesaw, "CONVERGENCE_TOL", 1e-14)
         ghz = pure_to_density(ghz_state())
-        result = maximize(ghz, OptimizerConfig(starts=8, seed=5, convergence_tol=1e-14))
+        result = maximize(ghz, OptimizerConfig(starts=8, seed=5))
         _, value = _sweep(_ghz_blocks(), result.best_settings)
         assert value == pytest.approx(result.best_value, abs=1e-12)
 

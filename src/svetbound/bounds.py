@@ -3,7 +3,8 @@ and tightness certificates.
 
 A mean value above 4 witnesses genuine tripartite nonlocality, but 4*lambda1 is
 only an upper bound: exceeding 4 does not by itself certify a violation, so the
-classification is three-valued and the see-saw optimizer supplies the witness.
+classification is three-valued and a witness must be found: the tightness
+certificate where the bound is attained, else the see-saw optimizer.
 Whether the bound itself is attained is decided in closed form, from the top
 right-singular subspace of the unfolding.
 """
@@ -56,41 +57,66 @@ class Certificate:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Singular spectrum, the bound 4*lambda1, and the violation classification."""
+    """Singular spectrum, the bound 4*lambda1, and the violation classification.
+
+    witness holds the settings that decided a CertifiedViolation, whose trace
+    value |<S>| exceeds 4 + VIOLATION_MARGIN, and is None for the other two
+    classifications; optimizer_value is the value of the settings that decided
+    the classification, and None when the bound alone decided it.
+    """
 
     spectrum: SingularSpectrum
     q_bound: float
     classification: str
     optimizer_value: float | None = None
     certificate: Certificate | None = None
+    witness: MeasurementSettings | None = None
 
 
 def quantum_bound(rho, config: OptimizerConfig | None = None, certify: bool = False) -> BoundReport:
     """Bound 4*lambda1 on |<S>| over all measurement settings, with classification.
 
-    CertifiedNoViolation when the bound itself stays at or below 4. Otherwise
-    the see-saw optimizer runs: CertifiedViolation when the independent trace
-    oracle svetlichny_value confirms |<S>| above 4 + 1e-9 at its best settings,
-    else Inconclusive (the bound exceeds 4 but no violating settings were
-    found). optimizer_value is the see-saw's own best value: it agrees with the
-    trace value only to rounding, and where the bound is attained it may lie an
-    ulp above q_bound. The see-saw runs only to classify, so at most once and
-    never when the bound is at most 4. Pass certify=True to also attach
-    tightness_certificate(rho), which needs no see-saw and no seed.
+    The classification is the first of these steps that decides it:
+    1. the bound is at most 4: CertifiedNoViolation;
+    2. with certify=True, tightness_certificate(rho) holds settings whose
+       trace value |<S>| exceeds 4 + 1e-9: CertifiedViolation, with no see-saw;
+    3. the see-saw ends on settings whose value from the independent trace
+       oracle svetlichny_value exceeds 4 + 1e-9: CertifiedViolation;
+    4. otherwise Inconclusive: the bound exceeds 4 but no violating settings
+       were found.
+    witness holds the settings of a CertifiedViolation, and optimizer_value is
+    None in step 1. The see-saw runs at most once.
+
+    Without certify, every see-saw start runs to convergence, as CLI optimize
+    does, and optimizer_value is the best value found: a lower estimate of the
+    maximum |<S>|, which equals q_bound where the bound is attained.
+
+    certify=True asks for the decision and its evidence, and attaches
+    tightness_certificate(rho), which needs no see-saw and no seed. The
+    certificate is built once and decides step 2; the see-saw of step 3 stops
+    after the first sweep in which some start exceeds 4 + 1e-9 or in which its
+    starts have settled (see maximize). optimizer_value is then the deciding
+    settings' value: the certificate's |achieved| in step 2, the see-saw's own
+    best at its stop in steps 3 and 4 (which agrees with the trace value only
+    to rounding).
     """
     state = analyze(rho)
-    optimizer_value = None
+    certificate = tightness_certificate(state) if certify else None
+    witness_floor = CLASSICAL_BOUND + VIOLATION_MARGIN
+    optimizer_value = witness = None
     if state.q_bound <= CLASSICAL_BOUND:
         classification = CERTIFIED_NO_VIOLATION
+    elif certificate is not None and abs(certificate.achieved) > witness_floor:
+        classification = CERTIFIED_VIOLATION
+        optimizer_value, witness = abs(certificate.achieved), certificate.settings
     else:
-        result = maximize(state, config)
+        result = maximize(state, config, stop_above=witness_floor if certify else None)
         optimizer_value = result.best_value
-        if abs(svetlichny_value(state, result.best_settings)) > CLASSICAL_BOUND + VIOLATION_MARGIN:
-            classification = CERTIFIED_VIOLATION
+        if abs(svetlichny_value(state, result.best_settings)) > witness_floor:
+            classification, witness = CERTIFIED_VIOLATION, result.best_settings
         else:
             classification = INCONCLUSIVE
-    certificate = tightness_certificate(state) if certify else None
-    return BoundReport(state.spectrum, state.q_bound, classification, optimizer_value, certificate)
+    return BoundReport(state.spectrum, state.q_bound, classification, optimizer_value, certificate, witness)
 
 
 def tightness_certificate(rho) -> Certificate | None:

@@ -96,10 +96,11 @@ def state_from_payload(payload) -> np.ndarray:
     checked here; analyze validates the matrix as a density matrix."""
     if not isinstance(payload, dict):
         raise StateFormatError("state file must contain a JSON object")
-    if payload.get("dim") != 8:
+    if set(payload) != {"dim", "matrix"}:
+        raise StateFormatError(f"state file keys must be exactly 'dim' and 'matrix', got {sorted(payload)}")
+    # 8.0 == 8 in Python, but the schema asks for the JSON integer 8.
+    if type(payload["dim"]) is not int or payload["dim"] != 8:
         raise StateFormatError("state file field 'dim' must be 8")
-    if "matrix" not in payload:
-        raise StateFormatError("state file is missing the 'matrix' field")
     try:
         arr = np.asarray(payload["matrix"], dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:

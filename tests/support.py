@@ -13,8 +13,12 @@ import numpy as np
 
 from svetbound import MeasurementSettings, pauli, unit_vector
 from svetbound.cli import main
+from svetbound.correlation import analyze
 
 GHZ_OPTIMUM = 4.0 * np.sqrt(2.0)
+# Frozen see-saw oracle value for the W state, recorded from a 50-start run;
+# seed-to-seed spread is below 1e-12.
+W_STATE_MAXIMUM = 4.3546484316045
 
 
 def exit_code(*argv):
@@ -61,6 +65,18 @@ def observable(g):
     return g[0] * pauli(1) + g[1] * pauli(2) + g[2] * pauli(3)
 
 
+def reference_svetlichny_value(rho, settings):
+    """tr(S rho) for S = A(B+B')C + A(B-B')C' + A'(B-B')C - A'(B+B')C', built here
+    from observable() and np.kron rather than by build_operator."""
+    a, ap, b, bp, c, cp = (observable(v) for v in settings.as_matrix())
+
+    def k3(x, y, z):
+        return np.kron(np.kron(x, y), z)
+
+    op = k3(a, b + bp, c) + k3(a, b - bp, cp) + k3(ap, b - bp, c) - k3(ap, b + bp, cp)
+    return float(np.trace(op @ np.asarray(rho)).real)
+
+
 def bilinear_value(matrix, settings):
     """Svetlichny mean value evaluated against the 3x9 correlation unfolding:
     (b+b') . M (a(x)c - a'(x)c') + (b-b') . M (a(x)c' + a'(x)c), which equals
@@ -105,6 +121,17 @@ def random_density(gen, max_rank=4):
         psi = random_pure(gen)
         rho += w * np.outer(psi, psi.conj())
     return rho
+
+
+def states_above_four(seed, count):
+    """The first count random_density draws from rng(seed) whose bound 4*lambda1 exceeds 4."""
+    gen = rng(seed)
+    states = []
+    while len(states) < count:
+        rho = random_density(gen)
+        if analyze(rho).q_bound > 4.0:
+            states.append(rho)
+    return states
 
 
 def w_density():

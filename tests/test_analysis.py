@@ -54,8 +54,9 @@ def _rank4_state():
             return rho
 
 
-# (state, whether 4*lambda1 is attained): the certificate runs no see-saw, and CLI
-# certify runs one only to report the gap when there is no certificate.
+# (state, whether 4*lambda1 is attained): the certificate runs no see-saw, and
+# decides the classification where it is attained; quantum_bound and CLI certify
+# run one see-saw only when there is no certificate.
 STATES = [
     pytest.param(lambda: realize(FamilySpec(GHZ_COLOR, 1.0)), True, id="ghz-color-p1"),
     pytest.param(_rank4_state, False, id="random-rank4"),
@@ -79,7 +80,7 @@ class TestOneAnalysisPerRequest:
         report = quantum_bound(rho, CFG, certify=True)
         assert report.q_bound > 4.0
         assert (report.certificate is not None) == attained
-        _assert_once(calls, seesaws=1)
+        _assert_once(calls, seesaws=0 if attained else 1)
 
     def test_tightness_certificate(self, calls, make_state, attained):
         rho = make_state()
@@ -170,7 +171,10 @@ class TestStatesThatPassValidation:
         report = quantum_bound(rho, CFG, certify=True)
         assert report.classification == classification
         assert report.certificate is not None
-        _assert_once(calls, seesaws=0 if classification == CERTIFIED_NO_VIOLATION else 1)
+        # Both states' bounds are attained: the bound or the certificate decides, with no see-saw.
+        _assert_once(calls, seesaws=0)
+        if classification == CERTIFIED_VIOLATION:
+            assert report.witness is report.certificate.settings
 
     def test_cli_exits_zero(self, make_state, classification, tmp_path, capsys):
         path = tmp_path / "state.json"

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,18 +28,25 @@ from svetbound import (
     tightness_certificate,
     unfold,
 )
+from svetbound.bounds import VIOLATION_MARGIN
 
 from support import (
     GHZ_OPTIMUM,
+    W_STATE_MAXIMUM,
     biseparable_state,
     random_density,
     random_pure,
     random_qubit_unitary,
+    reference_svetlichny_value,
     rng,
+    states_above_four,
     w_density,
 )
 
 CFG = OptimizerConfig(starts=8, seed=1)
+# The stop value quantum_bound hands the see-saw: a witness above it decides.
+STOP = 4.0 + VIOLATION_MARGIN
+ALONG_Z = MeasurementSettings(*[np.array([0.0, 0.0, 1.0])] * 6)
 
 
 def mixed_biseparable():
@@ -77,17 +87,26 @@ class TestQuantumBound:
         assert report.classification == INCONCLUSIVE
         assert report.optimizer_value <= 4.0 + 1e-9
 
-    def test_violation_needs_trace_checked_witness(self, monkeypatch):
-        # Settings all along z give GHZ a trace value of 0, whatever the see-saw claims.
-        z = np.array([0.0, 0.0, 1.0])
-        settings = MeasurementSettings(z, z, z, z, z, z)
-        rho = pure_to_density(ghz_state())
-        assert svetlichny_value(rho, settings) < 4.0
-        claimed = OptimizationResult(4.5, settings, 1, True, (4.5,))
-        monkeypatch.setattr(svetbound.bounds, "maximize", lambda *args: claimed)
-        report = quantum_bound(rho, CFG)
+    @pytest.mark.parametrize("certify, stop", [(False, None), (True, STOP)])
+    def test_violation_needs_trace_checked_witness(self, monkeypatch, certify, stop):
+        # W violates but has no certificate, so the see-saw decides. Settings all
+        # along z give it a trace value of 0, whatever the see-saw claims.
+        rho = w_density()
+        assert tightness_certificate(rho) is None
+        assert svetlichny_value(rho, ALONG_Z) < 4.0
+        claimed = OptimizationResult(4.5, ALONG_Z, 1, True, (4.5,))
+        stops = []
+
+        def claim(state, config=None, stop_above=None):
+            stops.append(stop_above)
+            return claimed
+
+        monkeypatch.setattr(svetbound.bounds, "maximize", claim)
+        report = quantum_bound(rho, CFG, certify=certify)
+        assert stops == [stop]
         assert report.classification == INCONCLUSIVE
         assert report.optimizer_value == 4.5
+        assert report.witness is None
 
     def test_q_bound_is_four_lambda1(self):
         gen = rng(500)
@@ -101,6 +120,49 @@ class TestQuantumBound:
         assert report.certificate is not None
         assert abs(report.certificate.achieved) >= report.q_bound - 1e-6
 
+    def test_without_certify_the_seesaw_runs_to_convergence(self, monkeypatch):
+        # No certificate is built, and the unstopped see-saw decides GHZ.
+        def refuse(state):
+            raise AssertionError("tightness_certificate called without certify")
+
+        monkeypatch.setattr(svetbound.bounds, "tightness_certificate", refuse)
+        rho = pure_to_density(ghz_state())
+        calls = count_maximize(monkeypatch)
+        report = quantum_bound(rho, CFG)
+        assert calls == [(CFG, None)]
+        assert report.classification == CERTIFIED_VIOLATION
+        assert report.certificate is None
+        assert report.optimizer_value == maximize(rho, CFG).best_value
+        assert abs(reference_svetlichny_value(rho, report.witness)) > STOP
+
+    def test_certificate_within_the_margin_does_not_decide(self, monkeypatch):
+        # ghz-color just above p*: the certificate attains 4*lambda1 = 4 + 5e-10,
+        # which no settings can push past 4 + 1e-9, so the see-saw runs and the
+        # state stays Inconclusive.
+        rho = realize(FamilySpec(GHZ_COLOR, (4.0 + 5e-10) / (4.0 * np.sqrt(2.0))))
+        calls = count_maximize(monkeypatch)
+        report = quantum_bound(rho, CFG, certify=True)
+        assert 4.0 < report.q_bound <= STOP
+        assert report.certificate is not None
+        assert calls == [(CFG, STOP)]
+        assert report.classification == INCONCLUSIVE
+        assert report.witness is None
+
+    def test_certificate_short_of_the_bound_leaves_the_label_to_the_seesaw(self, monkeypatch):
+        # Settings all along z give GHZ a trace value of 0, far below 4*lambda1:
+        # the certificate's trace check turns them down, and the one see-saw's
+        # own trace-checked witness decides.
+        monkeypatch.setattr(svetbound.bounds, "_rank_one_settings", lambda state: ALONG_Z)
+        rho = pure_to_density(ghz_state())
+        assert tightness_certificate(rho) is None
+        calls = count_maximize(monkeypatch)
+        report = quantum_bound(rho, CFG, certify=True)
+        assert calls == [(CFG, STOP)]
+        assert report.certificate is None
+        assert report.classification == CERTIFIED_VIOLATION
+        assert report.optimizer_value > STOP
+        assert abs(reference_svetlichny_value(rho, report.witness)) > STOP
+
 
 def product_state():
     """|000>: lambda1 = 1 is simple and q_bound = 4, so classification needs no see-saw;
@@ -111,12 +173,13 @@ def product_state():
 
 
 def count_maximize(monkeypatch):
-    """Route svetbound.bounds.maximize through a counter; returns the list of its configs."""
+    """Route svetbound.bounds.maximize through a counter; returns the list of its
+    (config, stop_above) arguments."""
     calls = []
 
-    def counting(rho, config=None):
-        calls.append(config)
-        return maximize(rho, config)
+    def counting(rho, config=None, stop_above=None):
+        calls.append((config, stop_above))
+        return maximize(rho, config, stop_above=stop_above)
 
     monkeypatch.setattr(svetbound.bounds, "maximize", counting)
     return calls
@@ -124,21 +187,25 @@ def count_maximize(monkeypatch):
 
 class TestOneSeesawPerRequest:
     @pytest.mark.parametrize(
-        "make_state, classification",
+        "make_state, classification, seesaws",
         [
-            (lambda: pure_to_density(ghz_state()), CERTIFIED_VIOLATION),
-            (w_density, CERTIFIED_VIOLATION),
-            (mixed_biseparable, INCONCLUSIVE),
-            (product_state, CERTIFIED_NO_VIOLATION),
+            (lambda: pure_to_density(ghz_state()), CERTIFIED_VIOLATION, 0),
+            (w_density, CERTIFIED_VIOLATION, 1),
+            (mixed_biseparable, INCONCLUSIVE, 1),
+            (product_state, CERTIFIED_NO_VIOLATION, 0),
         ],
     )
-    def test_certify_runs_maximize_once(self, monkeypatch, make_state, classification):
+    def test_certify_runs_maximize_once(self, monkeypatch, make_state, classification, seesaws):
         calls = count_maximize(monkeypatch)
         rho = make_state()
         report = quantum_bound(rho, CFG, certify=True)
         assert report.classification == classification
-        # The see-saw runs once to classify, and not at all when q_bound <= 4.
-        assert len(calls) == (0 if classification == CERTIFIED_NO_VIOLATION else 1)
+        # The see-saw runs once, with the stop value, only when neither the
+        # bound (q_bound <= 4) nor the certificate decides.
+        assert calls == [(CFG, STOP)] * seesaws
+        assert (report.witness is None) == (classification != CERTIFIED_VIOLATION)
+        if report.witness is not None:
+            assert abs(reference_svetlichny_value(rho, report.witness)) > STOP
         # The certificate is the public one, built with no see-saw at all.
         calls.clear()
         alone = tightness_certificate(rho)
@@ -253,13 +320,14 @@ class TestCertificateRoutes:
         [lambda: pure_to_density(ghz_state()), lambda: realize(FamilySpec(GHZ_COLOR, 1.0))],
     )
     def test_witness_certifies_without_subspace_solve(self, monkeypatch, make_state):
-        # The see-saw runs once, to classify; the certificate itself runs none.
+        # The certificate classifies and is the witness, so no see-saw runs.
         rho = make_state()
         calls = count_maximize(monkeypatch)
         report = quantum_bound(rho, CFG, certify=True)
         assert report.certificate is not None
-        assert len(calls) == 1
-        calls.clear()
+        assert report.classification == CERTIFIED_VIOLATION
+        assert report.witness is report.certificate.settings
+        assert calls == []
         cert = tightness_certificate(rho)
         assert cert is not None
         assert calls == []
@@ -310,3 +378,46 @@ class TestBiseparableSanity:
                 rho = pure_to_density(biseparable_state(gen, placement))
                 result = maximize(rho, OptimizerConfig(starts=6, seed=8))
                 assert result.best_value <= 4.0 + 1e-6
+
+
+LABELS = json.loads((Path(__file__).parent / "fixtures" / "bound_labels.json").read_text(encoding="utf-8"))
+
+
+def label_population():
+    """The fixture's states."""
+    population = LABELS["population"]
+    return states_above_four(population["rng_seed"], population["states"])
+
+
+class TestEarlyStops:
+    """The stopped see-saw of quantum_bound(certify=True) gives the labels of
+    the see-saw run to convergence, which tests/fixtures/bound_labels.json
+    records."""
+
+    def test_labels_match_the_seesaw_run_to_convergence(self):
+        population = LABELS["population"]
+        for rho, labels in zip(label_population(), LABELS["classifications"], strict=True):
+            for seed, label in zip(population["optimizer_seeds"], labels, strict=True):
+                config = OptimizerConfig(starts=population["starts"], seed=seed)
+                report = quantum_bound(rho, config, certify=True)
+                assert report.classification == label
+                if label == CERTIFIED_VIOLATION:
+                    assert abs(reference_svetlichny_value(rho, report.witness)) > STOP
+                else:
+                    assert report.witness is None
+                    assert report.optimizer_value <= STOP
+
+    def test_label_near_the_boundary_matches_the_seesaw_run_to_convergence(self, monkeypatch):
+        # W with white noise, scaled so that its maximum lies 2e-7 above 4. At
+        # this seed 5 starts settle while the best is still below 4 + 1e-9, so
+        # only SETTLE_CLEARANCE keeps the run going until a start passes it.
+        p = (4.0 + 2e-7) / W_STATE_MAXIMUM
+        rho, cfg = p * w_density() + (1.0 - p) * np.eye(8) / 8.0, OptimizerConfig(starts=50, seed=3)
+        full = maximize(rho, cfg)
+        assert STOP < abs(svetlichny_value(rho, full.best_settings)) < 4.0 + 1e-6
+        report = quantum_bound(rho, cfg, certify=True)
+        assert report.certificate is None
+        assert report.classification == CERTIFIED_VIOLATION
+        assert abs(reference_svetlichny_value(rho, report.witness)) > STOP
+        monkeypatch.setattr(svetbound.seesaw, "SETTLE_CLEARANCE", 0.0)
+        assert quantum_bound(rho, cfg, certify=True).classification == INCONCLUSIVE

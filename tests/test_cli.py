@@ -82,6 +82,28 @@ class TestBound:
         second = run_cli(*args)
         assert first.stdout == second.stdout
 
+    def test_seesaw_decides_a_state_without_certificate(self, monkeypatch, capsys):
+        # W violates but 4*lambda1 is not attained, so one stopped see-saw
+        # decides; reruns print the same bytes.
+        stops = []
+
+        def counting(rho, config=None, stop_above=None):
+            stops.append(stop_above)
+            return maximize(rho, config, stop_above=stop_above)
+
+        monkeypatch.setattr(svetbound.bounds, "maximize", counting)
+        argv = ["bound", "--state", str(FIXTURES / "w_state.json"), "--certify", "--starts", "8"]
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert stops == [4.0 + 1e-9] * 2
+        assert outputs[1] == outputs[0]
+        result = json.loads(outputs[0])["result"]
+        assert result["classification"] == "CertifiedViolation"
+        assert 4.0 + 1e-9 < result["optimizer_value"] <= result["q_bound"]
+        assert "certificate" not in result
+
     def test_degrees_flag(self, run_json):
         radians = run_json("bound", *GHZ_FLAGS, "--p", "0.5")
         degrees = run_json(
@@ -506,6 +528,23 @@ class TestExitCodes:
         path.write_text(json.dumps(payload))
         assert exit_code("gme", "--state", str(path)) == 2
         assert capsys.readouterr().err.startswith("svetbound: bad state file: ")
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            pytest.param({"dim": 8.0}, "field 'dim' must be 8", id="float-dim"),
+            pytest.param({"extra": 1}, "keys must be exactly 'dim' and 'matrix'", id="extra-key"),
+        ],
+    )
+    def test_schema_is_exact(self, change, message, tmp_path, capsys):
+        # The maximally mixed state, with dim a JSON float or one key too many.
+        payload = {**state_payload(np.eye(8) / 8.0), **change}
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(payload))
+        assert exit_code("gme", "--state", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("svetbound: bad state file: ")
+        assert message in err
 
 
 class TestParser:

@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,13 +25,18 @@ from svetbound import (
     svetlichny_value,
     unfold,
 )
-from svetbound.seesaw import MAX_STARTS, _draw_directions
+from svetbound.seesaw import MAX_STARTS, SETTLE_STARTS, SETTLE_TOL, _draw_directions
 
-from support import GHZ_OPTIMUM, bilinear_value, random_density, random_settings, rng, w_density
-
-# Frozen see-saw oracle value for the W state, recorded from a 50-start run;
-# seed-to-seed spread is below 1e-12.
-W_STATE_MAXIMUM = 4.3546484316045
+from support import (
+    GHZ_OPTIMUM,
+    W_STATE_MAXIMUM,
+    bilinear_value,
+    random_density,
+    random_settings,
+    rng,
+    states_above_four,
+    w_density,
+)
 
 # per_start_values of maximize(random_density(rng(606)), starts=8, seed=606),
 # recorded from the six-direction einsum see-saw that the complex block kernel
@@ -44,6 +51,10 @@ FROZEN_PER_START = (
     3.1227475743142135,
     3.1227475742851336,
 )
+# An unstopped 50-start maximize on the first state of the label fixture.
+PINNED_MAXIMIZE = json.loads((Path(__file__).parent / "fixtures" / "bound_labels.json").read_text(encoding="utf-8"))[
+    "pinned_maximize"
+]
 
 
 class TestOptimizerConfig:
@@ -209,10 +220,20 @@ class TestBlockKernel:
             maximize(rho, OptimizerConfig(starts=starts, seed=1))
             assert widths and set(widths) == {(starts, starts)}
 
-    def test_frozen_per_start_values(self):
-        rho = random_density(rng(606), max_rank=4)
-        result = maximize(rho, OptimizerConfig(starts=8, seed=606))
-        assert np.max(np.abs(np.array(result.per_start_values) - FROZEN_PER_START)) <= 1e-12
+    @pytest.mark.parametrize("run", ["8-starts", "50-starts"])
+    def test_frozen_per_start_values(self, run):
+        if run == "8-starts":
+            rho, cfg = random_density(rng(606), max_rank=4), OptimizerConfig(starts=8, seed=606)
+            frozen, frozen_settings = FROZEN_PER_START, None
+        else:
+            pinned = PINNED_MAXIMIZE
+            rho = states_above_four(pinned["rng_seed"], pinned["state"] + 1)[pinned["state"]]
+            cfg = OptimizerConfig(starts=pinned["starts"], seed=pinned["seed"])
+            frozen, frozen_settings = pinned["per_start_values"], pinned["best_settings"]
+        result = maximize(rho, cfg)
+        assert np.max(np.abs(np.array(result.per_start_values) - frozen)) <= 1e-12
+        if frozen_settings is not None:
+            assert np.max(np.abs(result.best_settings.as_matrix() - frozen_settings)) <= 1e-12
 
 
 def _tiny_spectrum(matrix):
@@ -307,3 +328,53 @@ class TestMaximize:
             lam1 = singular_spectrum(unfold(correlation_tensor(rho))).lambda1
             result = maximize(rho, OptimizerConfig(starts=8, seed=2))
             assert result.best_value == pytest.approx(4.0 * lam1, abs=1e-6)
+
+
+def _at_best(result):
+    return sum(v >= result.best_value - SETTLE_TOL for v in result.per_start_values)
+
+
+def _assert_same_run(first, second):
+    assert first.per_start_values == second.per_start_values
+    assert np.array_equal(first.best_settings.as_matrix(), second.best_settings.as_matrix())
+    assert first.iterations_used == second.iterations_used
+    assert first.converged == second.converged
+
+
+class TestStopAbove:
+    """maximize(..., stop_above=x) ends after the first sweep in which a start
+    exceeds x or SETTLE_STARTS starts lie within SETTLE_TOL of the best; the
+    run up to there is the unstopped run cut at that sweep."""
+
+    def _cut(self, monkeypatch, rho, cfg, sweeps):
+        monkeypatch.setattr(svetbound.seesaw, "MAX_SWEEPS", sweeps)
+        result = maximize(rho, cfg)
+        monkeypatch.undo()
+        return result
+
+    def test_stops_after_the_first_sweep_above(self, monkeypatch):
+        # W's maximum is 4.3546...; the starts pass 4.354 only after a few sweeps.
+        rho, cfg = w_density(), OptimizerConfig(starts=50, seed=0)
+        stopped = maximize(rho, cfg, stop_above=4.354)
+        assert stopped.best_value > 4.354
+        sweeps = stopped.iterations_used
+        assert 1 < sweeps < maximize(rho, cfg).iterations_used
+        _assert_same_run(stopped, self._cut(monkeypatch, rho, cfg, sweeps))
+        assert self._cut(monkeypatch, rho, cfg, sweeps - 1).best_value <= 4.354
+
+    def test_stops_once_the_starts_settle(self, monkeypatch):
+        # No value exceeds infinity, so only the settle rule can end the run early.
+        rho, cfg = random_density(rng(606), max_rank=4), OptimizerConfig(starts=20, seed=3)
+        full = maximize(rho, cfg)
+        stopped = maximize(rho, cfg, stop_above=np.inf)
+        sweeps = stopped.iterations_used
+        assert not stopped.converged and sweeps < full.iterations_used
+        assert _at_best(stopped) >= SETTLE_STARTS
+        assert _at_best(self._cut(monkeypatch, rho, cfg, sweeps - 1)) < SETTLE_STARTS
+        assert 0.0 <= full.best_value - stopped.best_value <= SETTLE_TOL
+
+    def test_a_stop_that_never_fires_changes_nothing(self):
+        # Fewer starts than SETTLE_STARTS and no value above infinity: the run
+        # goes on until every start converges, exactly as with no stop.
+        rho, cfg = random_density(rng(607), max_rank=4), OptimizerConfig(starts=SETTLE_STARTS - 1, seed=5)
+        _assert_same_run(maximize(rho, cfg, stop_above=np.inf), maximize(rho, cfg))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import IMAG_RESIDUE_ATOL, _hermitian_part, _readonly, kron3, pauli, validate_density
+from .qcore import IMAG_RESIDUE_ATOL, _member_index, _readonly, kron3, pauli, validate_density
 
 DEGENERACY_RTOL = 1e-7
 
@@ -23,18 +23,38 @@ _TRIPLES = np.stack(
 _TRIPLES.setflags(write=False)
 
 
+def _tensors(hermitian: np.ndarray) -> np.ndarray:
+    """Correlation tensors, shape (n, 3, 3, 3), of a validated (n, 8, 8) stack.
+
+    The 27 traces of each member are evaluated in one vectorized contraction
+    with a fixed summation order, the same for every member and stack size, so
+    a member's tensor is bit-identical to contracting it alone. Raises if any
+    entry carries an imaginary residue of 1e-9 or more; in a stack of more than
+    one, the error names the member.
+    """
+    values = np.einsum("nij,mji->mn", _TRIPLES, hermitian)
+    residue = np.abs(values.imag).max(axis=1)
+    failing = residue >= IMAG_RESIDUE_ATOL
+    if np.count_nonzero(failing):
+        k = int(np.argmax(failing))
+        member = _member_index(hermitian, k)
+        where = "" if member is None else f" of stack member {member}"
+        raise ValueError(f"correlation entries{where} carry imaginary residue {residue[k]:.3e}")
+    return values.real.reshape(-1, 3, 3, 3)
+
+
 def correlation_tensor(rho) -> np.ndarray:
     """Full three-Pauli correlation tensor of a density matrix, shape (3, 3, 3).
 
-    The 27 traces are evaluated in a single vectorized contraction with a fixed
-    summation order, so repeated calls are bit-identical.
+    The state is validated first, and the tensor is that of its Hermitian part.
+    Repeated calls are bit-identical.
     """
-    rho = validate_density(rho)
-    values = np.einsum("nij,ji->n", _TRIPLES, rho)
-    residue = float(np.max(np.abs(values.imag)))
-    if residue >= IMAG_RESIDUE_ATOL:
-        raise ValueError(f"correlation entries carry imaginary residue {residue:.3e}")
-    return _readonly(values.real.reshape(3, 3, 3))
+    return _readonly(_tensors(validate_density(rho)[np.newaxis])[0])
+
+
+def _unfoldings(tensors: np.ndarray) -> np.ndarray:
+    """3x9 unfoldings, shape (n, 3, 9), of an (n, 3, 3, 3) stack of tensors."""
+    return tensors.transpose(0, 2, 1, 3).reshape(-1, 3, 9)
 
 
 def unfold(tensor) -> np.ndarray:
@@ -42,7 +62,7 @@ def unfold(tensor) -> np.ndarray:
     t = np.asarray(tensor, dtype=float)
     if t.shape != (3, 3, 3):
         raise ValueError(f"expected a (3, 3, 3) tensor, got shape {t.shape}")
-    return _readonly(t.transpose(1, 0, 2).reshape(3, 9))
+    return _readonly(_unfoldings(t[np.newaxis])[0])
 
 
 @dataclass(frozen=True)
@@ -91,15 +111,23 @@ def singular_spectrum(matrix) -> SingularSpectrum:
     )
 
 
+def _top_singular_values(matrices: np.ndarray) -> np.ndarray:
+    """Top singular value of each 3x9 matrix of an (n, 3, 9) stack, from one
+    batched SVD. It is the call singular_spectrum makes, so each value is
+    bit-identical to that matrix's lambda1; compute_uv=False would take
+    another LAPACK path, whose values differ in the last bits."""
+    return np.linalg.svd(matrices, full_matrices=False)[1][:, 0]
+
+
 @dataclass(frozen=True)
 class StateAnalysis:
     """A validated state with its correlation tensor, 3x9 unfolding and spectrum.
 
     Only rho is given; the rest is derived from it when the object is built, so
-    every StateAnalysis holds the tensor of its own rho. correlation_tensor does
-    the validation, and rho is kept as the Hermitian part (rho + rho^dagger)/2
-    that validation returns and the tensor is computed from, read-only; for an
-    exactly Hermitian input that is the input bit for bit.
+    every StateAnalysis holds the tensor of its own rho. rho is validated once,
+    and kept as the Hermitian part (rho + rho^dagger)/2 that validation returns
+    and the tensor is computed from, read-only; for an exactly Hermitian input
+    that is the input bit for bit.
     """
 
     rho: np.ndarray
@@ -108,9 +136,10 @@ class StateAnalysis:
     spectrum: SingularSpectrum = field(init=False)
 
     def __post_init__(self):
-        tensor = correlation_tensor(self.rho)
+        rho = validate_density(self.rho)
+        tensor = _readonly(_tensors(rho[np.newaxis])[0])
         matrix = unfold(tensor)
-        object.__setattr__(self, "rho", _hermitian_part(np.asarray(self.rho, dtype=complex)))
+        object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "tensor", tensor)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "spectrum", singular_spectrum(matrix))

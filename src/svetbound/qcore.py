@@ -96,13 +96,17 @@ class StateValidationError(ValueError):
     """Raised when a matrix fails the density-matrix invariants.
 
     Carries every violated invariant, not just the first, so callers can report
-    all residuals at once.
+    all residuals at once. When the matrix was one member of a stack validated
+    together, member is its index in that stack and the message names it;
+    otherwise member is None.
     """
 
-    def __init__(self, violations):
+    def __init__(self, violations, member: int | None = None):
         self.violations: tuple[InvariantViolation, ...] = tuple(violations)
+        self.member = member
+        where = "" if member is None else f" (stack member {member})"
         detail = "; ".join(f"{v.kind} (residual {v.residual:.6e})" for v in self.violations)
-        super().__init__(f"invalid density matrix: {detail}")
+        super().__init__(f"invalid density matrix{where}: {detail}")
 
 
 NOT_FINITE = "not_finite"
@@ -111,11 +115,51 @@ TRACE_NOT_ONE = "trace_not_one"
 NOT_POSITIVE_SEMIDEFINITE = "not_positive_semidefinite"
 
 
-def _hermitian_part(rho: np.ndarray) -> np.ndarray:
-    """(rho + rho^dagger)/2 as a new read-only array; bit for bit rho when rho is exactly Hermitian."""
-    out = (rho + rho.conj().T) / 2.0
+def _hermitian_part(rhos: np.ndarray) -> np.ndarray:
+    """(rho + rho^dagger)/2 of each member of an (n, 8, 8) stack, as a new read-only
+    stack; bit for bit rho when rho is exactly Hermitian."""
+    out = (rhos + rhos.conj().swapaxes(1, 2)) / 2.0
     out.setflags(write=False)
     return out
+
+
+def _member_index(stack: np.ndarray, k: int) -> int | None:
+    """The index an error names: member k of a stack of more than one, else None."""
+    return k if len(stack) > 1 else None
+
+
+def _validate_stack(rhos: np.ndarray) -> np.ndarray:
+    """Validate an (n, 8, 8) complex stack of density matrices; returns the
+    read-only stack of their Hermitian parts.
+
+    The one home of the four density checks and their tolerances. The first
+    failing member raises StateValidationError with every invariant it
+    violates; in a stack of more than one, the error names that member. Each
+    member's values are those of checking it alone: numpy runs the same
+    reductions and LAPACK routine on every matrix of the stack.
+    """
+    if not np.isfinite(rhos).all():
+        first = int(np.argmin(np.isfinite(rhos).all(axis=(1, 2))))
+        _validate_stack(rhos[:first])  # an earlier member that fails another check is named first
+        raise StateValidationError([InvariantViolation(NOT_FINITE, float("inf"))], _member_index(rhos, first))
+    herm_dev = np.abs(rhos - rhos.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    trace_dev = np.abs(rhos.trace(axis1=1, axis2=2) - 1.0)
+    hermitian = _hermitian_part(rhos)
+    lowest = np.linalg.eigvalsh(hermitian)[:, 0]
+    not_hermitian = herm_dev > HERMITICITY_ATOL
+    trace_not_one = trace_dev > TRACE_ATOL
+    not_psd = lowest < EIGENVALUE_FLOOR
+    failing = not_hermitian | trace_not_one | not_psd
+    if np.count_nonzero(failing):
+        k = int(np.argmax(failing))
+        checks = (
+            (NOT_HERMITIAN, not_hermitian, herm_dev),
+            (TRACE_NOT_ONE, trace_not_one, trace_dev),
+            (NOT_POSITIVE_SEMIDEFINITE, not_psd, -lowest),
+        )
+        violations = [InvariantViolation(kind, float(residual[k])) for kind, failed, residual in checks if failed[k]]
+        raise StateValidationError(violations, _member_index(rhos, k))
+    return hermitian
 
 
 def validate_density(raw) -> np.ndarray:
@@ -134,22 +178,7 @@ def validate_density(raw) -> np.ndarray:
     rho = np.asarray(raw, dtype=complex)
     if rho.shape != (8, 8):
         raise ValueError(f"expected an 8x8 matrix, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho)):
-        raise StateValidationError([InvariantViolation(NOT_FINITE, float("inf"))])
-    violations = []
-    herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm_dev > HERMITICITY_ATOL:
-        violations.append(InvariantViolation(NOT_HERMITIAN, herm_dev))
-    trace_dev = float(abs(complex(np.trace(rho)) - 1.0))
-    if trace_dev > TRACE_ATOL:
-        violations.append(InvariantViolation(TRACE_NOT_ONE, trace_dev))
-    hermitian = _hermitian_part(rho)
-    lowest = float(np.linalg.eigvalsh(hermitian)[0])
-    if lowest < EIGENVALUE_FLOOR:
-        violations.append(InvariantViolation(NOT_POSITIVE_SEMIDEFINITE, -lowest))
-    if violations:
-        raise StateValidationError(violations)
-    return hermitian
+    return _validate_stack(rho[np.newaxis])[0]
 
 
 def pure_state(amplitudes) -> np.ndarray:

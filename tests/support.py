@@ -11,7 +11,17 @@ import sys
 
 import numpy as np
 
-from svetbound import MeasurementSettings, pauli, unit_vector
+from svetbound import (
+    GHZ_COLOR,
+    GHZ_WHITE,
+    FamilySpec,
+    GhzClassParams,
+    MeasurementSettings,
+    ScanRow,
+    pauli,
+    realize,
+    unit_vector,
+)
 from svetbound.cli import main
 from svetbound.correlation import analyze
 
@@ -29,24 +39,38 @@ def exit_code(*argv):
         return exc.code
 
 
-def count_calls(monkeypatch, qualnames):
-    """Count calls of the svetbound functions named "module.name" under every name
-    a svetbound module binds them to; the counts are keyed by the bare name."""
-    counts = collections.Counter()
+def _record_calls(monkeypatch, qualnames, record):
+    """Wrap the svetbound functions named "module.name" under every name a
+    svetbound module binds them to; each call's bare name and result go to record."""
     modules = [m for n, m in sys.modules.items() if n == "svetbound" or n.startswith("svetbound.")]
     for qualname in qualnames:
         module_name, attr = qualname.rsplit(".", 1)
         original = getattr(sys.modules[f"svetbound.{module_name}"], attr)
 
-        def counting(*args, _fn=original, _name=attr, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
+        def recording(*args, _fn=original, _name=attr, **kwargs):
+            result = _fn(*args, **kwargs)
+            record(_name, result)
+            return result
 
         for module in modules:
             for key, value in list(vars(module).items()):
                 if value is original:
-                    monkeypatch.setattr(module, key, counting)
+                    monkeypatch.setattr(module, key, recording)
+
+
+def count_calls(monkeypatch, qualnames):
+    """Count the calls of the named svetbound functions; keyed by the bare name."""
+    counts = collections.Counter()
+    _record_calls(monkeypatch, qualnames, lambda name, _: counts.update([name]))
     return counts
+
+
+def stack_sizes(monkeypatch, qualnames):
+    """The length of each result of the named svetbound functions, in call order;
+    keyed by the bare name. For a stacked pass that is the number of members."""
+    sizes = collections.defaultdict(list)
+    _record_calls(monkeypatch, qualnames, lambda name, result: sizes[name].append(len(result)))
+    return sizes
 
 
 def rng(seed):
@@ -105,6 +129,25 @@ def analytic_singular_values(params, p):
     third = p * math.sqrt(max(0.0, 1.0 - sin_two_theta**2 * sin_theta3**2))
     values = sorted((pair, pair, third), reverse=True)
     return (values[0], values[1], values[2])
+
+
+def per_member_scan_rows(kind, thetas=None, theta3s=None, ps=()):
+    """families.scan's rows by the per-member route: each angle pair realized and
+    analysed alone at p = 1 with analyze, then scaled row by row in Python floats."""
+    if kind == GHZ_COLOR:
+        thetas, theta3s = [math.pi / 4.0], [math.pi / 2.0]
+    rows = []
+    for theta in sorted(float(t) for t in thetas):
+        for theta3 in sorted(float(t) for t in theta3s):
+            params = GhzClassParams(theta, theta3) if kind == GHZ_WHITE else None
+            state = analyze(realize(FamilySpec(kind, 1.0, params)))
+            lambda1 = state.spectrum.lambda1
+            norm = math.sqrt(float(np.sum(state.matrix * state.matrix)) / 8.0)
+            for p in sorted(float(p) for p in ps):
+                lambda1_p = p * lambda1
+                q_bound = 4.0 * lambda1_p
+                rows.append(ScanRow(theta, theta3, p, lambda1_p, q_bound, q_bound > 4.0, p * norm - 0.5))
+    return rows
 
 
 def random_pure(gen):

@@ -30,9 +30,12 @@ from support import count_calls, random_density, rng
 
 CFG = OptimizerConfig(starts=8, seed=0)
 
+# Every validation runs the stacked core once, and builds the Hermitian part
+# once; _tensors is the 27-Pauli contraction of every state, alone or stacked.
 COUNTED = (
-    "qcore.validate_density",
-    "correlation.correlation_tensor",
+    "qcore._validate_stack",
+    "qcore._hermitian_part",
+    "correlation._tensors",
     "correlation.unfold",
     "correlation.singular_spectrum",
     "seesaw.maximize",
@@ -64,12 +67,13 @@ STATES = [
 
 
 def _assert_once(counts, seesaws):
-    assert counts["correlation_tensor"] == 1
+    assert counts["_tensors"] == 1
     assert counts["unfold"] == 1
     assert counts["singular_spectrum"] == 1
     assert counts["maximize"] == seesaws
     # analyze validates; the trace-oracle checks reuse its validated rho.
-    assert counts["validate_density"] == 1
+    assert counts["_validate_stack"] == 1
+    assert counts["_hermitian_part"] == 1
 
 
 @pytest.mark.parametrize("make_state, attained", STATES)
@@ -110,11 +114,11 @@ GHZ_FLAGS = ["--family", "ghz-white", "--theta", "0.785398", "--theta3", "1.5707
         ),
         # The p = 1 member, then one member per halving of [0, 1] down to 1e-9.
         pytest.param(["threshold", *GHZ_FLAGS, "--method", "bisection"], 31, id="threshold-bisection"),
-        # One member per angle pair, 2 x 3 of them.
+        # The 2 x 3 angle pairs are validated as one stack.
         pytest.param(
             ["scan", "--family", "ghz-white", "--thetas", "0.3,0.5", "--theta3s", "0.1,0.2,0.4",
              "--ps", "0.1:1:5"],
-            6,
+            1,
             id="scan",
         ),
     ],
@@ -123,7 +127,8 @@ def test_cli_validates_each_state_once(calls, argv, validations, tmp_path, capsy
     if argv[0] == "scan":
         argv = [*argv, "--out", str(tmp_path / "scan.csv")]
     assert main(argv) == 0
-    assert calls["validate_density"] == validations
+    assert calls["_validate_stack"] == validations
+    assert calls["_hermitian_part"] == validations
 
 
 def _mixed_with_two_residues():
@@ -206,6 +211,14 @@ class TestAnalyze:
         with pytest.raises(StateValidationError):
             StateAnalysis(3 * np.eye(8))
         assert StateAnalysis(ghz.rho).spectrum.values == ghz.spectrum.values
+
+    def test_hermitian_part_is_built_once(self, monkeypatch):
+        # Validation builds it, and the analysis keeps that array as its rho.
+        rho = _mixed_with_two_residues()
+        calls = count_calls(monkeypatch, ["qcore._hermitian_part"])
+        state = analyze(rho)
+        assert calls["_hermitian_part"] == 1
+        assert state.rho.tobytes() == ((rho + rho.conj().T) / 2.0).tobytes()
 
     def test_invalid_matrix_is_rejected(self):
         bad = np.zeros((8, 8), dtype=complex)

@@ -14,6 +14,8 @@ from svetbound import (
     unfold,
 )
 
+from svetbound.correlation import _tensors
+
 from support import random_density, random_qubit_unitary, rng
 
 
@@ -52,6 +54,25 @@ class TestCorrelationTensor:
         for _ in range(100):
             m = unfold(correlation_tensor(random_density(gen)))
             assert np.linalg.norm(m) <= np.sqrt(27.0) + 1e-9
+
+
+class TestStackedTensors:
+    def test_members_match_contracting_each_alone(self):
+        gen = rng(203)
+        states = [random_density(gen) for _ in range(30)]
+        hermitian = np.stack([(rho + rho.conj().T) / 2.0 for rho in states])
+        for rho, tensor in zip(states, _tensors(hermitian)):
+            assert tensor.tobytes() == correlation_tensor(rho).tobytes()
+
+    def test_imaginary_residue_names_its_stack_member(self):
+        # Unvalidated, an anti-Hermitian residue of 1e-8 at (0, 1) leaves an
+        # imaginary part of 1e-8 in the correlation entries.
+        stack = np.stack([np.eye(8, dtype=complex) / 8.0] * 3)
+        stack[1, 0, 1] = 1e-8j
+        with pytest.raises(ValueError, match=r"correlation entries of stack member 1 carry imaginary residue"):
+            _tensors(stack)
+        with pytest.raises(ValueError, match=r"^correlation entries carry imaginary residue 1\.000e-08$"):
+            _tensors(stack[1:2])
 
 
 class TestUnfold:

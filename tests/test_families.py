@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,21 +24,31 @@ from svetbound import (
     violation_threshold,
 )
 from svetbound.correlation import analyze
-from svetbound.families import MAX_SCAN_ROWS
+from svetbound.families import _SCAN_CHUNK, MAX_SCAN_ROWS
 
-from support import analytic_singular_values, count_calls
+from support import analytic_singular_values, count_calls, per_member_scan_rows, rng, stack_sizes
 
 GHZ_PARAMS = GhzClassParams(np.pi / 4, np.pi / 2)
 
-# The per-angle-pair work of a scan: one realized member and one analysis, which
-# is also its one validation.
-SCAN_WORK = (
+# The per-member work of the bisection threshold: one realized member and one
+# analysis, which is also its one validation and contraction.
+MEMBER_WORK = (
     "qcore.validate_density",
     "correlation.analyze",
-    "correlation.correlation_tensor",
+    "correlation._tensors",
     "correlation.singular_spectrum",
     "families.realize",
 )
+# The stacked passes of a scan: members built, validated, contracted and their
+# top singular values taken, once per chunk of angle pairs.
+STACKED_WORK = (
+    "families._members",
+    "qcore._validate_stack",
+    "correlation._tensors",
+    "correlation._top_singular_values",
+)
+MEMBER_ONLY_WORK = tuple(name for name in MEMBER_WORK if name not in STACKED_WORK)
+ANY_WORK = MEMBER_ONLY_WORK + STACKED_WORK
 EDGE_ANGLES = [0.0, np.pi / 8, np.pi / 4, np.pi / 2]
 EDGE_PS = [k / 10 for k in range(11)]
 
@@ -185,9 +197,9 @@ class TestViolationThreshold:
 
     def test_bisection_analyses_every_member(self, monkeypatch):
         # The reference path: the p = 1 member, then one member per halving of [0, 1] down to 1e-9.
-        calls = count_calls(monkeypatch, SCAN_WORK)
+        calls = count_calls(monkeypatch, MEMBER_WORK)
         violation_threshold(GHZ_COLOR, method=BISECTION)
-        assert dict(calls) == {name.split(".")[1]: 31 for name in SCAN_WORK}
+        assert dict(calls) == {name.split(".")[1]: 31 for name in MEMBER_WORK}
 
     @pytest.mark.parametrize("method", [CLOSED_FORM, BISECTION])
     def test_ghz_color_rejects_angles(self, monkeypatch, method):
@@ -286,7 +298,7 @@ class TestScan:
         def no_work(*args, **kwargs):
             raise AssertionError("the row cap must fire before any member is built")
 
-        for name in ("GhzClassParams", "_analyze_member"):
+        for name in ("GhzClassParams", "_members"):
             monkeypatch.setattr(svetbound.families, name, no_work)
         # 101 * 9901 = MAX_SCAN_ROWS + 1 rows, each grid alone under the cap.
         assert 101 * 9901 == MAX_SCAN_ROWS + 1
@@ -315,19 +327,30 @@ class TestScan:
             assert abs(row.gme_lb - gme_lower_bound(member).lb_value) <= 1e-12
             assert row.violates == (member.q_bound > 4.0)
 
-    def test_one_analysis_per_angle_pair(self, monkeypatch):
-        calls = count_calls(monkeypatch, SCAN_WORK)
+    def test_one_stacked_pass_per_chunk(self, monkeypatch):
+        # No member goes the per-member route; each chunk of angle pairs is built,
+        # validated, contracted and decomposed once, and the chunks cover every pair.
+        calls = count_calls(monkeypatch, MEMBER_ONLY_WORK)
+        sizes = stack_sizes(monkeypatch, STACKED_WORK)
         angles = list(np.linspace(0.1, 1.5, 6))
         ps = list(np.linspace(0.0, 1.0, 20))
         assert len(scan(GHZ_WHITE, angles, angles, ps)) == 720
-        assert dict(calls) == {name.split(".")[1]: 36 for name in SCAN_WORK}
+        assert dict(sizes) == {name.split(".")[1]: [36] for name in STACKED_WORK}
         for count in (1, 720):
-            calls.clear()
+            sizes.clear()
             assert len(scan(GHZ_COLOR, ps=list(np.linspace(0.0, 1.0, count)))) == count
-            assert dict(calls) == {name.split(".")[1]: 1 for name in SCAN_WORK}
+            assert dict(sizes) == {name.split(".")[1]: [1] for name in STACKED_WORK}
+        assert not calls
+        reference = per_member_scan_rows(GHZ_WHITE, angles, angles, ps)
+        monkeypatch.setattr(svetbound.families, "_SCAN_CHUNK", 10)
+        calls.clear()
+        sizes.clear()
+        assert scan(GHZ_WHITE, angles, angles, ps) == reference
+        assert dict(sizes) == {name.split(".")[1]: [10, 10, 10, 6] for name in STACKED_WORK}
+        assert not calls
 
     def test_bad_angle_rejected_before_any_analysis(self, monkeypatch):
-        calls = count_calls(monkeypatch, SCAN_WORK)
+        calls = count_calls(monkeypatch, ANY_WORK)
         with pytest.raises(ValueError, match=r"theta must lie in \[0, pi/2\]"):
             scan(GHZ_WHITE, [0.1, 0.2, 0.3, 2.0], [0.1, 0.2, 0.3], [0.5])
         with pytest.raises(ValueError, match=r"theta3 must lie in \[0, pi/2\]"):
@@ -336,9 +359,53 @@ class TestScan:
 
     @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
     def test_bad_weight_rejected_before_any_analysis(self, monkeypatch, bad):
-        calls = count_calls(monkeypatch, SCAN_WORK)
+        calls = count_calls(monkeypatch, ANY_WORK)
         with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
             scan(GHZ_WHITE, [0.4], [0.9], [0.5, bad])
         with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
             scan(GHZ_COLOR, ps=[0.5, bad])
         assert not calls
+
+
+def _seeded_white_grid(seed):
+    gen = rng(seed)
+    return list(gen.uniform(0.0, np.pi / 2, 6)), list(gen.uniform(0.0, np.pi / 2, 6)), list(gen.random(20))
+
+
+class TestScanMatchesPerMemberRoute:
+    """The stacked scan's rows are repr-equal, so bit for bit equal, to analysing
+    each angle pair alone at p = 1 and scaling it row by row."""
+
+    @pytest.mark.parametrize(
+        "kind, thetas, theta3s, ps",
+        [
+            pytest.param(GHZ_WHITE, EDGE_ANGLES, EDGE_ANGLES, EDGE_PS, id="white-edges"),
+            pytest.param(GHZ_COLOR, None, None, EDGE_PS, id="color-edges"),
+            *(pytest.param(GHZ_WHITE, *_seeded_white_grid(seed), id=f"white-6x6x20-seed{seed}") for seed in (1, 2, 3)),
+            pytest.param(GHZ_COLOR, None, None, [*EDGE_PS, *rng(4).random(720)], id="color-p-grid"),
+        ],
+    )
+    def test_rows_are_repr_equal(self, kind, thetas, theta3s, ps):
+        rows = scan(kind, thetas, theta3s, ps)
+        assert repr(rows) == repr(per_member_scan_rows(kind, thetas, theta3s, ps))
+
+    def test_grid_larger_than_one_chunk(self):
+        gen = rng(5)
+        thetas, theta3s = list(gen.uniform(0.0, np.pi / 2, 33)), list(gen.uniform(0.0, np.pi / 2, 32))
+        assert len(thetas) * len(theta3s) > _SCAN_CHUNK
+        ps = [0.25, 0.75, 1.0]
+        assert repr(scan(GHZ_WHITE, thetas, theta3s, ps)) == repr(per_member_scan_rows(GHZ_WHITE, thetas, theta3s, ps))
+
+
+def test_scan_memory_is_bounded_by_its_chunk():
+    # 128 x 128 angle pairs are 16 chunks: about 9.5 MB at peak, of which the
+    # 16384 rows hold 3.5 MB. Stacking every pair at once peaks at about 51 MB.
+    angles = list(np.linspace(0.0, np.pi / 2, 128))
+    tracemalloc.start()
+    try:
+        rows = scan(GHZ_WHITE, angles, angles, [0.5])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 128 * 128
+    assert peak < 20 * 2**20

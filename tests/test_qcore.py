@@ -15,7 +15,7 @@ from svetbound import (
     unit_vector,
     validate_density,
 )
-from svetbound.qcore import NOT_HERMITIAN, NOT_POSITIVE_SEMIDEFINITE, TRACE_NOT_ONE
+from svetbound.qcore import NOT_FINITE, NOT_HERMITIAN, NOT_POSITIVE_SEMIDEFINITE, TRACE_NOT_ONE, _validate_stack
 
 from support import observable, random_density, random_pure, rng
 
@@ -216,6 +216,90 @@ class TestValidateDensity:
         assert out[0, 1] == 0.45e-9j
         assert np.array_equal(out, out.conj().T)
         assert not out.flags.writeable
+
+
+def _off_hermitian(dev):
+    # I/8 with one off-diagonal entry dev: deviates from Hermitian by exactly dev.
+    rho = np.eye(8, dtype=complex) / 8.0
+    rho[0, 1] = dev
+    return rho
+
+
+def _off_trace(dev):
+    # (1 + dev) I/8: trace 1 + dev.
+    return np.eye(8, dtype=complex) * ((1.0 + dev) / 8.0)
+
+
+def _below_zero(dev):
+    # Diagonal, unit trace, lowest eigenvalue -dev.
+    return np.diag([-dev] + [(1.0 + dev) / 7.0] * 7).astype(complex)
+
+
+# Each invariant's matrix just inside its 1e-9 tolerance and just outside it.
+EDGES = [
+    pytest.param(_off_hermitian, NOT_HERMITIAN, id="hermitian"),
+    pytest.param(_off_trace, TRACE_NOT_ONE, id="trace"),
+    pytest.param(_below_zero, NOT_POSITIVE_SEMIDEFINITE, id="psd"),
+]
+INSIDE, OUTSIDE = 0.99e-9, 1.01e-9
+
+
+def _stack_around(rho):
+    # The matrix as member 2 of a stack whose other members are valid states.
+    return np.stack([np.eye(8) / 8.0, pure_to_density(ghz_vector()), rho, np.eye(8) / 8.0]).astype(complex)
+
+
+@pytest.mark.parametrize("make, kind", EDGES)
+class TestToleranceEdges:
+    def test_inside_is_accepted(self, make, kind):
+        rho = make(INSIDE)
+        assert np.array_equal(validate_density(rho), (rho + rho.conj().T) / 2.0)
+        assert np.array_equal(_validate_stack(_stack_around(rho))[2], validate_density(rho))
+
+    def test_outside_is_rejected_with_its_residual(self, make, kind):
+        with pytest.raises(StateValidationError) as err:
+            validate_density(make(OUTSIDE))
+        assert [v.kind for v in err.value.violations] == [kind]
+        assert err.value.violations[0].residual == pytest.approx(OUTSIDE, rel=1e-6)
+        assert err.value.member is None
+        assert str(err.value) == f"invalid density matrix: {kind} (residual {err.value.violations[0].residual:.6e})"
+
+    def test_outside_names_its_stack_member(self, make, kind):
+        with pytest.raises(StateValidationError) as err:
+            _validate_stack(_stack_around(make(OUTSIDE)))
+        assert [v.kind for v in err.value.violations] == [kind]
+        assert err.value.violations[0].residual == pytest.approx(OUTSIDE, rel=1e-6)
+        assert err.value.member == 2
+        assert str(err.value).startswith("invalid density matrix (stack member 2): ")
+
+
+class TestValidateStack:
+    def test_members_match_validating_each_alone(self):
+        gen = rng(151)
+        stack = np.stack([random_density(gen) for _ in range(40)])
+        out = _validate_stack(stack)
+        assert not out.flags.writeable
+        for rho, hermitian in zip(stack, out):
+            assert hermitian.tobytes() == validate_density(rho).tobytes()
+
+    def test_first_failing_member_is_named(self):
+        stack = _stack_around(_off_trace(1e-3))
+        stack[3] = _below_zero(1e-3)
+        with pytest.raises(StateValidationError) as err:
+            _validate_stack(stack)
+        assert err.value.member == 2
+        assert [v.kind for v in err.value.violations] == [TRACE_NOT_ONE]
+
+    def test_non_finite_member_after_a_failing_one(self):
+        stack = _stack_around(_off_trace(1e-3))
+        stack[3, 4, 4] = np.nan
+        with pytest.raises(StateValidationError) as err:
+            _validate_stack(stack)
+        assert (err.value.member, [v.kind for v in err.value.violations]) == (2, [TRACE_NOT_ONE])
+        stack[2] = np.eye(8) / 8.0
+        with pytest.raises(StateValidationError) as err:
+            _validate_stack(stack)
+        assert (err.value.member, [v.kind for v in err.value.violations]) == (3, [NOT_FINITE])
 
 
 class TestPureToDensity:

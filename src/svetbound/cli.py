@@ -5,12 +5,18 @@ Output contract: one JSON report per invocation on stdout, floats printed with
 UTF-8, LF line endings). Identical inputs and seed produce byte-identical
 output. Exit codes: 0 success, 1 usage error, 2 state validation failure,
 3 numerical or I/O failure.
+
+The optimize, threshold and gme results, and every certificate, are the
+library's result objects written field by field: OptimizationResult,
+ThresholdReport, GmeReport and Certificate (its settings a MeasurementSettings),
+each with its fields as keys in declaration order.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import json
@@ -22,7 +28,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bounds import Certificate, quantum_bound, tightness_certificate
+from .bounds import quantum_bound, tightness_certificate
 from .correlation import StateAnalysis, analyze
 from .families import (
     BILOCAL_BOUND_LITERATURE,
@@ -41,7 +47,6 @@ from .families import (
 )
 from .qcore import StateValidationError
 from .seesaw import OptimizerConfig, SeesawError, maximize
-from .svetlichny import MeasurementSettings
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -77,6 +82,11 @@ def _to_json(value) -> str:
         return "[" + ",".join(_to_json(item) for item in value) + "]"
     if isinstance(value, dict):
         return "{" + ",".join(f"{json.dumps(str(k))}:{_to_json(v)}" for k, v in value.items()) + "}"
+    # After the list and dict branches, so the nested lists of a state digest skip these checks.
+    if isinstance(value, np.ndarray):
+        return _to_json(value.tolist())
+    if dataclasses.is_dataclass(value):
+        return _to_json({f.name: getattr(value, f.name) for f in dataclasses.fields(value)})
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
@@ -85,10 +95,15 @@ def _digest(payload) -> str:
 
 
 def state_payload(rho) -> dict:
-    """Canonical JSON payload for a density matrix: keys dim and matrix of [re, im] pairs."""
+    """Canonical JSON payload for a density matrix: keys dim and matrix of [re, im] pairs.
+    Raises ValueError for a matrix that is not 8x8 or holds a non-finite entry, which
+    state_from_payload would reject or JSON cannot spell."""
     rho = np.asarray(rho, dtype=complex)
-    matrix = [[[float(entry.real), float(entry.imag)] for entry in row] for row in rho]
-    return {"dim": 8, "matrix": matrix}
+    if rho.shape != (8, 8):
+        raise ValueError(f"state matrix must be 8x8, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError("state matrix entries must be finite")
+    return {"dim": 8, "matrix": np.stack([rho.real, rho.imag], axis=-1).tolist()}
 
 
 def state_from_payload(payload) -> np.ndarray:
@@ -134,8 +149,9 @@ def _atomic_open(path):
 def write_state_file(path: str, rho) -> None:
     """Canonical state writer; written files re-parse to a bit-identical matrix.
     The file is written atomically: a reader sees the old file or the whole new one."""
+    text = _to_json(state_payload(rho)) + "\n"
     with _atomic_open(path) as handle:
-        handle.write(_to_json(state_payload(rho)) + "\n")
+        handle.write(text)
 
 
 def read_state_file(path: str) -> np.ndarray:
@@ -149,30 +165,11 @@ def read_state_file(path: str) -> np.ndarray:
     return state_from_payload(payload)
 
 
-def _settings_payload(settings: MeasurementSettings) -> dict:
-    return {
-        "a": [float(x) for x in settings.a],
-        "a_prime": [float(x) for x in settings.a_prime],
-        "b": [float(x) for x in settings.b],
-        "b_prime": [float(x) for x in settings.b_prime],
-        "c": [float(x) for x in settings.c],
-        "c_prime": [float(x) for x in settings.c_prime],
-    }
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; the documented contract is 1.
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _certificate_payload(certificate: Certificate) -> dict:
-    return {
-        "settings": _settings_payload(certificate.settings),
-        "achieved": certificate.achieved,
-        "residual": certificate.residual,
-    }
 
 
 def _family_params(args, parser: _Parser) -> tuple[GhzClassParams | None, dict]:
@@ -208,7 +205,7 @@ def _resolve_state(args, parser: _Parser) -> tuple[StateAnalysis, str]:
     return analyze(realize(spec)), _digest({**payload, "p": args.p})
 
 
-def _emit(args, digest: str, result: dict) -> int:
+def _emit(args, digest: str, result) -> int:
     report = {
         "command": list(args.argv),
         "input_digest": digest,
@@ -224,36 +221,26 @@ def _cmd_bound(args, parser):
     state, digest = _resolve_state(args, parser)
     report = quantum_bound(state, args.config, certify=args.certify)
     result = {
-        "lambda": [report.spectrum.lambda1, report.spectrum.lambda2, report.spectrum.lambda3],
+        "lambda": report.spectrum.values,
         "q_bound": report.q_bound,
         "classification": report.classification,
     }
     if report.optimizer_value is not None:
         result["optimizer_value"] = report.optimizer_value
     if report.certificate is not None:
-        result["certificate"] = _certificate_payload(report.certificate)
+        result["certificate"] = report.certificate
     return _emit(args, digest, result)
 
 
 def _cmd_optimize(args, parser):
     state, digest = _resolve_state(args, parser)
-    result = maximize(state, args.config)
-    payload = {
-        "best_value": result.best_value,
-        "best_settings": _settings_payload(result.best_settings),
-        "iterations_used": result.iterations_used,
-        "converged": result.converged,
-        "per_start_values": list(result.per_start_values),
-    }
-    return _emit(args, digest, payload)
+    return _emit(args, digest, maximize(state, args.config))
 
 
 def _cmd_threshold(args, parser):
     method = CLOSED_FORM if args.method == "closed-form" else BISECTION
     params, payload = _family_params(args, parser)
-    report = violation_threshold(args.family, params, method=method)
-    result = {"p_star": report.p_star, "method": report.method}
-    return _emit(args, _digest(payload), result)
+    return _emit(args, _digest(payload), violation_threshold(args.family, params, method=method))
 
 
 def _parse_grid(
@@ -311,7 +298,7 @@ def _cmd_certify(args, parser):
     certificate = tightness_certificate(state)
     q_bound = state.q_bound
     if certificate is not None:
-        result = {"q_bound": q_bound, "certificate": _certificate_payload(certificate)}
+        result = {"q_bound": q_bound, "certificate": certificate}
     else:
         # Without a certificate the see-saw's best value measures how far the bound is from attained.
         best = maximize(state, args.config).best_value
@@ -321,14 +308,7 @@ def _cmd_certify(args, parser):
 
 def _cmd_gme(args, parser):
     state, digest = _resolve_state(args, parser)
-    report = gme_lower_bound(state)
-    result = {
-        "hs_norm_sq": report.hs_norm_sq,
-        "lb_value": report.lb_value,
-        "chain_value": report.chain_value,
-        "clamped_lb": report.clamped_lb,
-    }
-    return _emit(args, digest, result)
+    return _emit(args, digest, gme_lower_bound(state))
 
 
 def _add_family(container, required: bool = False) -> None:

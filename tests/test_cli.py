@@ -12,7 +12,7 @@ import svetbound.bounds
 import svetbound.cli
 import svetbound.families
 import svetbound.seesaw
-from svetbound import OptimizerConfig, maximize
+from svetbound import OptimizerConfig, __version__, maximize
 from svetbound.cli import main, read_state_file, state_payload, write_state_file
 
 from support import exit_code, random_density, rng
@@ -588,9 +588,76 @@ class TestStateRoundTrip:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json"]
 
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            (np.eye(4) / 4.0, "must be 8x8"),
+            (np.where(np.eye(8) > 0, 0.125, np.nan), "must be finite"),
+            (np.where(np.eye(8) > 0, 0.125, np.inf), "must be finite"),
+        ],
+        ids=["4x4", "nan", "inf"],
+    )
+    def test_writer_refuses_what_its_reader_rejects(self, rho, message, tmp_path):
+        # A 4x4 matrix would be written under "dim": 8 and NaN as the bare token nan.
+        path = tmp_path / "state.json"
+        with pytest.raises(ValueError, match=message):
+            write_state_file(path, rho)
+        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []
+
     def test_payload_shape(self):
         payload = state_payload(np.eye(8) / 8.0)
         assert payload["dim"] == 8
         assert len(payload["matrix"]) == 8
         assert len(payload["matrix"][0]) == 8
         assert payload["matrix"][0][0] == [0.125, 0.0]
+
+
+REPO = Path(__file__).resolve().parent.parent
+# One recorded stdout line per request; each report's "command" is the request.
+RECORDED_REPORTS = (FIXTURES / "cli_reports.jsonl").read_text(encoding="utf-8").splitlines()
+
+
+def _spelled_17g(token: str) -> float:
+    assert token == format(float(token), ".17g"), f"float token {token} is not 17 significant digits"
+    return float(token)
+
+
+def _assert_same_report(actual, expected, where="report"):
+    """The same keys in the same order at every level and the same JSON types;
+    equal strings, ints, bools and nulls; numbers within 1e-9. An integral float
+    is written as an integer token, so a value recorded as an int is compared
+    as a float unless both tokens are ints."""
+    if isinstance(expected, dict):
+        assert isinstance(actual, dict) and list(actual) == list(expected), (where, actual)
+        for key, value in expected.items():
+            _assert_same_report(actual[key], value, f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert isinstance(actual, list) and len(actual) == len(expected), (where, actual)
+        for index, (got, want) in enumerate(zip(actual, expected)):
+            _assert_same_report(got, want, f"{where}[{index}]")
+    elif expected is None or isinstance(expected, (bool, str)):
+        assert type(actual) is type(expected) and actual == expected, (where, actual, expected)
+    elif type(actual) is int and type(expected) is int:
+        assert actual == expected, (where, actual, expected)
+    else:
+        assert type(actual) in (int, float), (where, actual)
+        assert abs(actual - expected) <= 1e-9, (where, actual, expected)
+
+
+class TestRecordedReports:
+    def test_every_json_subcommand_is_recorded(self):
+        recorded = {json.loads(line)["command"][0] for line in RECORDED_REPORTS}
+        assert recorded == {"bound", "optimize", "threshold", "certify", "gme"}
+
+    @pytest.mark.parametrize(
+        "line", RECORDED_REPORTS, ids=[f"{i}-{json.loads(l)['command'][0]}" for i, l in enumerate(RECORDED_REPORTS)]
+    )
+    def test_report_matches_recorded_schema(self, line, monkeypatch, capsys):
+        expected = json.loads(line)
+        # The version is whatever the package declares, not part of the schema.
+        expected["version"] = __version__
+        monkeypatch.chdir(REPO)  # state file paths in the commands are relative to the repo root
+        assert main(expected["command"]) == 0
+        actual = json.loads(capsys.readouterr().out, parse_float=_spelled_17g)
+        _assert_same_report(actual, expected)

@@ -262,6 +262,48 @@ class TestInvariantChecks:
         proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
         assert proc.returncode == 7, proc.stderr
 
+    @pytest.mark.parametrize("below, raises", [(1e-6, True), (1e-8, False)])
+    def test_bound_slack_edge(self, below, raises, monkeypatch):
+        # q_bound just below the best value: 1e-6 is past the 1e-7 slack, 1e-8 inside it.
+        rho, config = pure_to_density(ghz_state()), OptimizerConfig(starts=2, seed=0)
+        best = maximize(rho, config).best_value
+
+        def lowered(matrix):
+            return dataclasses.replace(singular_spectrum(matrix), lambda1=(best - below) / 4.0)
+
+        monkeypatch.setattr(svetbound.correlation, "singular_spectrum", lowered)
+        if raises:
+            with pytest.raises(SeesawError, match="singular-value bound"):
+                maximize(rho, config)
+        else:
+            assert maximize(rho, config).best_value == best
+
+    @pytest.mark.parametrize("drop, raises", [(1e-9, True), (1e-13, False)])
+    def test_decrease_slack_edge(self, drop, raises, monkeypatch):
+        # The first sweep reports start 0 at drop below its starting value: 1e-9 is
+        # past the 1e-12 slack, 1e-13 inside it.
+        real = svetbound.seesaw._block_sweep
+        sweeps = 0
+
+        def lowering(blocks, p, active):
+            nonlocal sweeps
+            sweeps += 1
+            settings, values = real(blocks, p, active)
+            if sweeps == 1:
+                assert active[0]
+                values = values.copy()
+                values[0] = svetbound.seesaw._values(blocks, p)[0] - drop
+            return settings, values
+
+        monkeypatch.setattr(svetbound.seesaw, "_block_sweep", lowering)
+        rho, config = pure_to_density(ghz_state()), OptimizerConfig(starts=3, seed=0)
+        if raises:
+            with pytest.raises(SeesawError, match="decreased in sweep 1"):
+                maximize(rho, config)
+        else:
+            assert maximize(rho, config).best_value == pytest.approx(GHZ_OPTIMUM, abs=1e-6)
+            assert sweeps > 1
+
 
 class TestMaximize:
     def test_ghz_reaches_optimum(self):

@@ -154,12 +154,17 @@ def write_state_file(path: str, rho) -> None:
         handle.write(text)
 
 
+def _reject_constant(token: str):
+    raise StateFormatError(f"state file holds {token}, which is not a JSON number")
+
+
 def read_state_file(path: str) -> np.ndarray:
     """Read a state file into a complex 8x8 matrix (see state_from_payload); a
-    file that is not UTF-8 JSON raises StateFormatError."""
+    file that is not UTF-8 JSON raises StateFormatError, and so does one holding
+    NaN, Infinity or -Infinity, which Python's json module would otherwise read."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            payload = json.load(handle)
+            payload = json.load(handle, parse_constant=_reject_constant)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise StateFormatError(f"state file is not valid JSON: {exc}") from None
     return state_from_payload(payload)

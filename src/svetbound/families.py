@@ -4,7 +4,8 @@ genuine-multipartite-entanglement lower bounds, and grid scans."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -182,8 +183,19 @@ def gme_lower_bound(rho) -> GmeReport:
     return GmeReport(hs_norm_sq, lb_value, chain_value, max(0.0, lb_value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ScanRow:
+    """One row of a scan, in the columns of the scan CSV: the angles theta and
+    theta3, the mixing weight p, lambda1 and q_bound = 4*lambda1 of that member,
+    violates = q_bound > 4, and the raw GME lower bound gme_lb.
+
+    Rows are frozen and slotted: a field cannot be set, and a row has no
+    __dict__. __init__ is written by hand, with the same seven parameters the
+    dataclass would generate: it stores each field through the class's own slot
+    descriptor, bound once below, not through the object.__setattr__ call per
+    field that a frozen dataclass makes, which halves the cost of a row.
+    """
+
     theta: float
     theta3: float
     p: float
@@ -191,6 +203,20 @@ class ScanRow:
     q_bound: float
     violates: bool
     gme_lb: float
+
+    def __init__(self, theta, theta3, p, lambda1, q_bound, violates, gme_lb):
+        _set_theta(self, theta)
+        _set_theta3(self, theta3)
+        _set_p(self, p)
+        _set_lambda1(self, lambda1)
+        _set_q_bound(self, q_bound)
+        _set_violates(self, violates)
+        _set_gme_lb(self, gme_lb)
+
+
+_set_theta, _set_theta3, _set_p, _set_lambda1, _set_q_bound, _set_violates, _set_gme_lb = (
+    getattr(ScanRow, field.name).__set__ for field in fields(ScanRow)
+)
 
 
 def scan(
@@ -229,15 +255,18 @@ def scan(
         raise ValueError(f"the grid has more than {MAX_SCAN_ROWS} rows")
     if not ps:
         raise ValueError("p grid must be nonempty")
-    for p in ps:
-        _check_weight(p)
+    # One range check over the column. NaN fails both comparisons; the first
+    # offending p in sorted order gets _check_weight's message.
+    ps_column = np.array(ps)
+    in_range = (ps_column >= 0.0) & (ps_column <= 1.0)
+    if not in_range.all():
+        _check_weight(ps[int(np.argmin(in_range))])
     if not thetas or not theta3s:
         raise ValueError("theta and theta3 grids must be nonempty")
     # Every angle pair is checked here, before any member is built.
     white = kind == GHZ_WHITE
     pairs = [(t, t3, GhzClassParams(t, t3) if white else None) for t in thetas for t3 in theta3s]
 
-    ps_column = np.array(ps)
     rows = []
     for start in range(0, len(pairs), _SCAN_CHUNK):
         chunk = pairs[start : start + _SCAN_CHUNK]
@@ -250,8 +279,5 @@ def scan(
         gme_lb = np.multiply.outer(_unfolding_norm(matrices)[1], ps_column) - 0.5
         columns = zip(chunk, lambda1.tolist(), q_bound.tolist(), violates.tolist(), gme_lb.tolist())
         for (theta, theta3, _), lambda1_row, q_row, violates_row, gme_row in columns:
-            rows.extend(
-                ScanRow(theta, theta3, p, lam, q, v, g)
-                for p, lam, q, v, g in zip(ps, lambda1_row, q_row, violates_row, gme_row)
-            )
+            rows.extend(map(ScanRow, repeat(theta), repeat(theta3), ps, lambda1_row, q_row, violates_row, gme_row))
     return rows

@@ -204,11 +204,20 @@ class TestScan:
         # stdout differs only in the echoed --out path
         assert json.loads(json_a)["result"]["rows"] == json.loads(json_b)["result"]["rows"]
 
-    def test_readme_example_matches_recorded_csv(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "fixture, grid",
+        [
+            pytest.param("scan_readme_example.csv", ["--thetas", "0.785398", "--theta3s", "1.570796",
+                                                     "--ps", "0.6:0.8:21"], id="readme-example"),
+            # 3 x 3 angle pairs, edge angles 0 and 90 degrees included, by 8 weights: 72 rows.
+            pytest.param("scan_white_3x3x8.csv", ["--degrees", "--thetas", "0:90:3", "--theta3s", "0:90:3",
+                                                  "--ps", "0:1:8"], id="white-3x3x8"),
+        ],
+    )
+    def test_matches_recorded_csv(self, fixture, grid, tmp_path, capsys):
         out_path = tmp_path / "scan.csv"
-        assert main(["scan", "--family", "ghz-white", "--thetas", "0.785398", "--theta3s",
-                     "1.570796", "--ps", "0.6:0.8:21", "--out", str(out_path)]) == 0
-        assert out_path.read_bytes() == (FIXTURES / "scan_readme_example.csv").read_bytes()
+        assert main(["scan", "--family", "ghz-white", *grid, "--out", str(out_path)]) == 0
+        assert out_path.read_bytes() == (FIXTURES / fixture).read_bytes()
 
     def test_weight_out_of_range(self, tmp_path, capsys):
         out_path = tmp_path / "x.csv"
@@ -528,6 +537,20 @@ class TestExitCodes:
         path.write_text(json.dumps(payload))
         assert exit_code("gme", "--state", str(path)) == 2
         assert capsys.readouterr().err.startswith("svetbound: bad state file: ")
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_json_constant_is_a_bad_state_file(self, token, tmp_path, capsys):
+        # Python's json module writes and, by default, reads these tokens; JSON has none.
+        payload = state_payload(np.eye(8) / 8.0)
+        payload["matrix"][0][0][0] = float(token.replace("Infinity", "inf"))
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(payload))
+        assert token in path.read_text()
+        with pytest.raises(svetbound.cli.StateFormatError, match=f"holds {token}, which is not a JSON number"):
+            read_state_file(str(path))
+        assert exit_code("gme", "--state", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err == f"svetbound: bad state file: state file holds {token}, which is not a JSON number\n"
 
     @pytest.mark.parametrize(
         "change, message",

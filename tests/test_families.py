@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ from svetbound import (
     GHZ_COLOR,
     GHZ_WHITE,
     GhzClassParams,
+    ScanRow,
     correlation_tensor,
     ghz_class_state,
     ghz_state,
@@ -365,6 +368,74 @@ class TestScan:
         with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
             scan(GHZ_COLOR, ps=[0.5, bad])
         assert not calls
+
+    @pytest.mark.parametrize(
+        "ps, named",
+        [([0.5, 1.5, -0.1], "-0.1"), ([0.5, float("nan"), 1.5, -0.1], "nan")],
+    )
+    def test_first_bad_weight_in_sorted_order_is_named(self, monkeypatch, ps, named):
+        # The message of checking each sorted p in turn: sorted() puts -0.1 first
+        # in the one grid and leaves nan before it in the other.
+        def no_work(*args, **kwargs):
+            raise AssertionError("the p grid must be checked before any member is built")
+
+        monkeypatch.setattr(svetbound.families, "_members", no_work)
+        for kind, angles in ((GHZ_WHITE, [0.4]), (GHZ_COLOR, None)):
+            with pytest.raises(ValueError) as err:
+                scan(kind, angles, angles, ps)
+            assert str(err.value) == f"p must lie in [0, 1], got {named}"
+
+
+@dataclasses.dataclass(frozen=True)
+class _GeneratedRow:
+    """ScanRow's fields in a frozen dataclass whose __init__ is generated."""
+
+    theta: float
+    theta3: float
+    p: float
+    lambda1: float
+    q_bound: float
+    violates: bool
+    gme_lb: float
+
+
+class TestScanRow:
+    ROW = ScanRow(0.25, 0.5, 0.75, 0.5, 2.0, False, -0.125)
+
+    def test_scan_rows_equal_rows_built_directly(self):
+        thetas, theta3s, ps = _seeded_white_grid(6)
+        rows = scan(GHZ_WHITE, thetas, theta3s, ps)
+        built = [ScanRow(*dataclasses.astuple(row)) for row in rows]
+        assert rows == built == per_member_scan_rows(GHZ_WHITE, thetas, theta3s, ps)
+        assert [repr(row) for row in rows] == [repr(row) for row in built]
+        assert [hash(row) for row in rows] == [hash(row) for row in built]
+
+    def test_repr_and_hash_match_a_generated_init(self):
+        values = dataclasses.astuple(self.ROW)
+        generated = _GeneratedRow(*values)
+        assert repr(self.ROW) == repr(generated).replace("_GeneratedRow", "ScanRow")
+        assert hash(self.ROW) == hash(generated)
+        assert ScanRow(**dataclasses.asdict(generated)) == self.ROW
+
+    def test_fields_cannot_be_set(self):
+        for field in dataclasses.fields(ScanRow):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(self.ROW, field.name, 1.0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(self.ROW, field.name)
+        assert self.ROW == ScanRow(0.25, 0.5, 0.75, 0.5, 2.0, False, -0.125)
+
+    def test_dataclass_protocol(self):
+        names = ("theta", "theta3", "p", "lambda1", "q_bound", "violates", "gme_lb")
+        assert tuple(field.name for field in dataclasses.fields(ScanRow)) == names
+        flipped = dataclasses.replace(self.ROW, violates=True)
+        assert type(flipped) is ScanRow
+        assert dataclasses.astuple(flipped) == (0.25, 0.5, 0.75, 0.5, 2.0, True, -0.125)
+        back = pickle.loads(pickle.dumps(self.ROW))
+        assert back == self.ROW and repr(back) == repr(self.ROW) and hash(back) == hash(self.ROW)
+        assert not hasattr(self.ROW, "__dict__")
+        with pytest.raises(TypeError):
+            ScanRow(0.25, 0.5, 0.75, 0.5, 2.0, False)
 
 
 def _seeded_white_grid(seed):

@@ -10,6 +10,7 @@ from svetbound import (
     expectation,
     kron3,
     pauli,
+    pure_state,
     pure_to_density,
     realize,
     unit_vector,
@@ -300,6 +301,27 @@ class TestValidateStack:
         with pytest.raises(StateValidationError) as err:
             _validate_stack(stack)
         assert (err.value.member, [v.kind for v in err.value.violations]) == (3, [NOT_FINITE])
+
+
+class TestUnitToleranceEdges:
+    """unit_vector's norm and pure_state's squared norm must be 1 within 1e-12:
+    a deviation of 1e-13 is accepted and one of 1e-9 rejected, either way."""
+
+    @pytest.mark.parametrize("dev", [1e-13, -1e-13])
+    def test_inside_is_accepted(self, dev):
+        assert unit_vector([0.0, 1.0 + dev, 0.0])[1] == 1.0 + dev
+        psi = np.zeros(8, dtype=complex)
+        psi[0] = np.sqrt(1.0 + dev)
+        assert np.array_equal(pure_state(psi), psi)
+
+    @pytest.mark.parametrize("dev", [1e-9, -1e-9])
+    def test_outside_is_rejected(self, dev):
+        with pytest.raises(ValueError, match=r"vector norm .* is not 1 within 1e-12"):
+            unit_vector([0.0, 1.0 + dev, 0.0])
+        psi = np.zeros(8, dtype=complex)
+        psi[0] = np.sqrt(1.0 + dev)
+        with pytest.raises(ValueError, match=r"squared norm .* is not 1 within 1e-12"):
+            pure_state(psi)
 
 
 class TestPureToDensity:

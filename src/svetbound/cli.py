@@ -158,13 +158,21 @@ def _reject_constant(token: str):
     raise StateFormatError(f"state file holds {token}, which is not a JSON number")
 
 
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise StateFormatError(f"state file number {token} is too large for a double")
+    return value
+
+
 def read_state_file(path: str) -> np.ndarray:
     """Read a state file into a complex 8x8 matrix (see state_from_payload); a
     file that is not UTF-8 JSON raises StateFormatError, and so does one holding
-    NaN, Infinity or -Infinity, which Python's json module would otherwise read."""
+    NaN, Infinity or -Infinity, which Python's json module would otherwise read,
+    or a number such as 1e400 that a double cannot hold."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            payload = json.load(handle, parse_constant=_reject_constant)
+            payload = json.load(handle, parse_constant=_reject_constant, parse_float=_finite_float)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise StateFormatError(f"state file is not valid JSON: {exc}") from None
     return state_from_payload(payload)

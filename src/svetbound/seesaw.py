@@ -1,5 +1,10 @@
 """Multistart see-saw ascent for the maximal Svetlichny value of a fixed state.
 
+It serves CLI optimize, the gap that CLI certify reports when there is no
+certificate, and quantum_bound without certify; every start runs to
+convergence. quantum_bound(certify=True) needs no see-saw and no seed (see
+bounds).
+
 The mean value is multilinear in the six measurement directions, so with five
 of them held fixed the objective is linear in the sixth and the optimal update
 is the normalized coefficient vector. A sweep updates all six in the fixed
@@ -35,12 +40,6 @@ MAX_STARTS = 10_000
 MAX_SWEEPS = 500
 #: A start stops once an iteration improves its value by less than this.
 CONVERGENCE_TOL = 1e-10
-#: A run given stop_above also ends once this many starts lie within SETTLE_TOL of its best,
-#: provided that best lies at least SETTLE_CLEARANCE below stop_above: a settled best can
-#: still climb a little, so near stop_above the run goes on until a start passes it.
-SETTLE_STARTS = 5
-SETTLE_TOL = 1e-6
-SETTLE_CLEARANCE = 1e-4
 
 _MIN_COEFF_NORM = 1e-14
 _BOUND_SLACK = 1e-7
@@ -173,17 +172,7 @@ def _block_sweep(blocks, p: np.ndarray, active: np.ndarray) -> tuple[np.ndarray,
     return p, _mean_values(x, z)
 
 
-def _decided(values: np.ndarray, stop_above: float) -> bool:
-    # A start above stop_above is a witness; SETTLE_STARTS starts at the best mean the search
-    # has settled, which decides only a best clear of stop_above.
-    best = values.max()
-    settled = np.count_nonzero(values >= best - SETTLE_TOL) >= SETTLE_STARTS
-    return best > stop_above or (settled and best < stop_above - SETTLE_CLEARANCE)
-
-
-def maximize(
-    rho, config: OptimizerConfig | None = None, stop_above: float | None = None
-) -> OptimizationResult:
+def maximize(rho, config: OptimizerConfig | None = None) -> OptimizationResult:
     """Best absolute Svetlichny mean value found by seeded multistart see-saw.
 
     rho is a density matrix, which analyze validates and decomposes, or a
@@ -201,14 +190,6 @@ def maximize(
     several step lengths and kept only when it improves the objective; the
     ascent therefore stays monotone and fully deterministic. Ties between
     starts resolve to the lowest start index.
-
-    With stop_above given, the run also ends after the first sweep in which
-    some start's value exceeds stop_above, or in which SETTLE_STARTS starts lie
-    within SETTLE_TOL of the best value so far while that best lies at least
-    SETTLE_CLEARANCE below stop_above; the result then describes the
-    starts as they stand after that sweep, and iterations_used counts the
-    sweeps the winner ran. Without it, every start runs until it converges or
-    reaches MAX_SWEEPS.
 
     Raises SeesawError when a sweep lowers an active start's objective by more
     than 1e-12, or when the result exceeds the singular-value bound
@@ -254,9 +235,6 @@ def maximize(
         converged[stopped] = True
         active &= ~stopped
         if not active.any():
-            break
-        if stop_above is not None and _decided(values, stop_above):
-            iterations[active] = sweep
             break
 
     best = int(np.argmax(values))

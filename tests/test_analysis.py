@@ -39,6 +39,7 @@ COUNTED = (
     "correlation.unfold",
     "correlation.singular_spectrum",
     "seesaw.maximize",
+    "bounds._lambda_iterate",
     "svetlichny.svetlichny_value",
 )
 
@@ -49,7 +50,7 @@ def calls(monkeypatch):
 
 
 def _rank4_state():
-    # First rank-4 draw with 4*lambda1 > 4, so quantum_bound runs the see-saw.
+    # First rank-4 draw with 4*lambda1 > 4, so quantum_bound runs the Lambda iteration.
     gen = rng(11)
     while True:
         rho = random_density(gen)
@@ -58,19 +59,20 @@ def _rank4_state():
 
 
 # (state, whether 4*lambda1 is attained): the certificate runs no see-saw, and
-# decides the classification where it is attained; quantum_bound and CLI certify
-# run one see-saw only when there is no certificate.
+# decides the classification where it is attained; without a certificate
+# quantum_bound runs the Lambda iteration once, and CLI certify one see-saw.
 STATES = [
     pytest.param(lambda: realize(FamilySpec(GHZ_COLOR, 1.0)), True, id="ghz-color-p1"),
     pytest.param(_rank4_state, False, id="random-rank4"),
 ]
 
 
-def _assert_once(counts, seesaws):
+def _assert_once(counts, seesaws, iterations=0):
     assert counts["_tensors"] == 1
     assert counts["unfold"] == 1
     assert counts["singular_spectrum"] == 1
     assert counts["maximize"] == seesaws
+    assert counts["_lambda_iterate"] == iterations
     # analyze validates; the trace-oracle checks reuse its validated rho.
     assert counts["_validate_stack"] == 1
     assert counts["_hermitian_part"] == 1
@@ -84,7 +86,7 @@ class TestOneAnalysisPerRequest:
         report = quantum_bound(rho, CFG, certify=True)
         assert report.q_bound > 4.0
         assert (report.certificate is not None) == attained
-        _assert_once(calls, seesaws=0 if attained else 1)
+        _assert_once(calls, seesaws=0, iterations=0 if attained else 1)
 
     def test_tightness_certificate(self, calls, make_state, attained):
         rho = make_state()

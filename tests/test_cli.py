@@ -15,7 +15,7 @@ import svetbound.seesaw
 from svetbound import OptimizerConfig, __version__, maximize
 from svetbound.cli import main, read_state_file, state_payload, write_state_file
 
-from support import exit_code, random_density, rng
+from support import W_STATE_MAXIMUM, exit_code, random_density, rng
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GHZ_FLAGS = ["--family", "ghz-white", "--theta", "0.785398", "--theta3", "1.570796"]
@@ -82,26 +82,30 @@ class TestBound:
         second = run_cli(*args)
         assert first.stdout == second.stdout
 
-    def test_seesaw_decides_a_state_without_certificate(self, monkeypatch, capsys):
-        # W violates but 4*lambda1 is not attained, so one stopped see-saw
-        # decides; reruns print the same bytes.
-        stops = []
+    def test_iteration_decides_a_state_without_certificate(self, monkeypatch, capsys):
+        # W violates but 4*lambda1 is not attained, so the Lambda iteration
+        # decides, with no see-saw; reruns print the same bytes, and the result
+        # is the same for every --seed and --starts.
+        calls = []
 
-        def counting(rho, config=None, stop_above=None):
-            stops.append(stop_above)
-            return maximize(rho, config, stop_above=stop_above)
+        def counting(rho, config=None):
+            calls.append(config)
+            return maximize(rho, config)
 
         monkeypatch.setattr(svetbound.bounds, "maximize", counting)
-        argv = ["bound", "--state", str(FIXTURES / "w_state.json"), "--certify", "--starts", "8"]
+        argv = ["bound", "--state", str(FIXTURES / "w_state.json"), "--certify"]
         outputs = []
-        for _ in range(2):
-            assert main(argv) == 0
+        for extra in ([], [], ["--seed", "1"], ["--seed", "2", "--starts", "3"]):
+            assert main([*argv, *extra]) == 0
             outputs.append(capsys.readouterr().out)
-        assert stops == [4.0 + 1e-9] * 2
+        assert calls == []
         assert outputs[1] == outputs[0]
-        result = json.loads(outputs[0])["result"]
+        results = [json.loads(out)["result"] for out in outputs]
+        assert all(result == results[0] for result in results)
+        result = results[0]
         assert result["classification"] == "CertifiedViolation"
         assert 4.0 + 1e-9 < result["optimizer_value"] <= result["q_bound"]
+        assert result["optimizer_value"] == pytest.approx(W_STATE_MAXIMUM, abs=1e-9)
         assert "certificate" not in result
 
     def test_degrees_flag(self, run_json):
@@ -551,6 +555,28 @@ class TestExitCodes:
         assert exit_code("gme", "--state", str(path)) == 2
         err = capsys.readouterr().err
         assert err == f"svetbound: bad state file: state file holds {token}, which is not a JSON number\n"
+
+    @pytest.mark.parametrize("number", ["1e400", "-1e400", "1.5e309"])
+    def test_number_too_large_for_a_double_is_a_bad_state_file(self, number, tmp_path, capsys):
+        # float() reads these as infinity; a state file holds finite numbers only,
+        # as the integer 10**400 already shows.
+        text = json.dumps(state_payload(np.eye(8) / 8.0)).replace("0.125", number, 1)
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        message = f"state file number {number} is too large for a double"
+        with pytest.raises(svetbound.cli.StateFormatError, match=message):
+            read_state_file(str(path))
+        for subcommand in ("gme", "bound"):
+            assert exit_code(subcommand, "--state", str(path)) == 2
+            assert capsys.readouterr().err == f"svetbound: bad state file: {message}\n"
+
+    def test_tiny_number_reads_as_zero(self, tmp_path):
+        # 1e-400 underflows to 0.0, which is finite: the entry is read, not refused.
+        text = json.dumps(state_payload(np.eye(8) / 8.0)).replace("[0.0, 0.0]", "[1e-400, 0.0]", 1)
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        assert "1e-400" in text
+        assert np.array_equal(read_state_file(str(path)), np.eye(8) / 8.0)
 
     @pytest.mark.parametrize(
         "change, message",
